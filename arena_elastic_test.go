@@ -2,6 +2,8 @@ package shmrename
 
 import (
 	"strings"
+	"sync"
+	"sync/atomic"
 	"testing"
 
 	"shmrename/internal/registry"
@@ -185,5 +187,50 @@ func TestElasticConfigRouting(t *testing.T) {
 		if !strings.Contains(err.Error(), tc.want) {
 			t.Errorf("%s: error %q does not name %q", tc.name, err, tc.want)
 		}
+	}
+}
+
+// TestElasticConcurrentFillNoFalseFull is the regression test for the
+// elastic arena's false full: two goroutines filling a fresh elastic arena
+// race its ladder growth, and an acquire whose pass found the ladder full
+// while the other goroutine held the resize guard used to count that pass
+// as failed, reaching ErrArenaFull with the arena mostly empty. Every fill
+// here stays far below capacity, so no acquire may fail.
+func TestElasticConcurrentFillNoFalseFull(t *testing.T) {
+	const fills, workers, perWorker = 200, 2, 500
+	var failed, failedFills atomic.Int64
+	for fill := 0; fill < fills; fill++ {
+		a, err := NewArena(ArenaConfig{Capacity: 4096, Backend: ArenaElastic, Seed: uint64(fill)})
+		if err != nil {
+			t.Fatal(err)
+		}
+		start := make(chan struct{})
+		var wg sync.WaitGroup
+		var fillFailed atomic.Bool
+		for w := 0; w < workers; w++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				<-start
+				for i := 0; i < perWorker; i++ {
+					if _, err := a.Acquire(); err != nil {
+						failed.Add(1)
+						fillFailed.Store(true)
+					}
+				}
+			}()
+		}
+		close(start)
+		wg.Wait()
+		if fillFailed.Load() {
+			failedFills.Add(1)
+		}
+		if err := a.Close(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if n := failed.Load(); n != 0 {
+		t.Fatalf("%d acquires failed in %d of %d two-goroutine fills to %d of capacity 4096",
+			n, failedFills.Load(), fills, workers*perWorker)
 	}
 }

@@ -556,6 +556,38 @@ func BenchmarkBatchAcquireRelease(b *testing.B) {
 	}
 }
 
+// BenchmarkArenaFill measures building an arena and filling it with 1000
+// holders from one goroutine: one iteration is NewArena plus 1000 Acquire
+// calls. The default level arena then probes its way past ever more
+// saturated low levels, so the cost per fill tracks how cheaply a probe
+// loop passes a level whose every word is hinted full. The sharded cell
+// (capacity 1200 over 2 shards) fills to 83% occupancy, where the shard
+// frontend and the backstop word scans join in.
+func BenchmarkArenaFill(b *testing.B) {
+	const holders = 1000
+	for _, c := range []struct {
+		name string
+		cfg  ArenaConfig
+	}{
+		{"level/cap=4096", ArenaConfig{Capacity: 4096, Seed: 1}},
+		{"sharded/cap=1200", ArenaConfig{Capacity: 1200, Backend: ArenaBackendSharded, Shards: 2, Seed: 1}},
+	} {
+		b.Run(c.name, func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				arena, err := NewArena(c.cfg)
+				if err != nil {
+					b.Fatal(err)
+				}
+				for j := 0; j < holders; j++ {
+					if _, err := arena.Acquire(); err != nil {
+						b.Fatal(err)
+					}
+				}
+			}
+		})
+	}
+}
+
 // BenchmarkCountingDeviceParallel measures raw acquisition throughput on
 // real cores via the public wrapper.
 func BenchmarkCountingDeviceParallel(b *testing.B) {

@@ -49,6 +49,7 @@ package exclusive
 
 import (
 	"fmt"
+	"runtime"
 	"sync/atomic"
 
 	"shmrename/internal/registry"
@@ -179,6 +180,14 @@ func (a *Arena) enter(p *shm.Proc, k int, side int32, budget int) bool {
 			step(p, a.lockSpace, shm.OpClear, k)
 			m.want[side].Store(0)
 			return false
+		}
+		// Yield between native spin rounds. With more goroutines than
+		// processors the opponent (or the tournament winner above it) may
+		// be descheduled; spinning on would burn whole time slices, and the
+		// step budget with them, before it runs again. The yield takes no
+		// process step.
+		if p.Native() {
+			runtime.Gosched()
 		}
 	}
 }

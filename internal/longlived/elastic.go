@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/bits"
+	"runtime"
 	"sort"
 	"sync/atomic"
 
@@ -78,8 +79,9 @@ type ElasticArena struct {
 	floor atomic.Int32
 	// drainIdx is the index of the level currently draining, -1 if none.
 	drainIdx atomic.Int32
-	// resizeBusy serializes grow/start-drain/finish-drain transitions;
-	// acquires and releases never wait on it.
+	// resizeBusy serializes grow/start-drain/finish-drain transitions.
+	// Releases and successful acquires never wait on it; only an acquire
+	// whose pass failed on a structurally full ladder does (see regrow).
 	resizeBusy atomic.Bool
 	// Cached trigger thresholds, retuned on every ladder change.
 	capNow     atomic.Int64
@@ -356,8 +358,17 @@ func (a *ElasticArena) leaseStamp(p *shm.Proc) uint64 {
 // ladder changed. Acquire calls it on every failed full pass and
 // proactively at the GrowAt occupancy trip; tests and benchmarks force it.
 func (a *ElasticArena) Grow() bool {
+	changed, _ := a.grow()
+	return changed
+}
+
+// grow is Grow that also reports whether it gave up because another
+// transition held the resize guard. It takes no process step, so under the
+// simulated gate no resize is ever in flight when another process runs and
+// busy is never observed there.
+func (a *ElasticArena) grow() (changed, busy bool) {
 	if !a.resizeBusy.CompareAndSwap(false, true) {
-		return false
+		return false, true
 	}
 	defer a.resizeBusy.Store(false)
 	if di := a.drainIdx.Load(); di >= 0 {
@@ -370,17 +381,36 @@ func (a *ElasticArena) Grow() bool {
 		a.cancels.Add(1)
 		a.bumpGen()
 		a.retune()
-		return true
+		return true, false
 	}
 	st := a.ladder.Load()
 	act := int(st & 0xffff)
 	if act >= len(a.levels) {
-		return false
+		return false, false
 	}
 	a.installLevel(act)
 	a.ladder.Store(packLadder((st>>16)+1, act+1))
 	a.grows.Add(1)
 	a.retune()
+	return true, false
+}
+
+// regrow is the failed-pass grow: it extends the ladder like Grow, but when
+// another goroutine's transition holds the resize guard it waits for that
+// transition to finish (most often it is the very grow this pass needed)
+// and reports true, so the caller retries without consuming a pass. Without
+// the wait, a pass that merely lost the guard race counts as failed, and
+// enough of them surface ErrArenaFull on a mostly empty arena. The caller's
+// regrown budget bounds the retries; the proactive GrowAt trigger never
+// waits.
+func (a *ElasticArena) regrow() bool {
+	changed, busy := a.grow()
+	if !busy {
+		return changed
+	}
+	for a.resizeBusy.Load() {
+		runtime.Gosched()
+	}
 	return true
 }
 
@@ -557,9 +587,10 @@ func claimUpTo(p *shm.Proc, s *shm.NameSpace, w, k int, stamp uint64) uint64 {
 // from the floor hint, then a deterministic bottom-up backstop scan over
 // every active level (the termination guarantee — when the ladder is fully
 // grown its final level alone seats the full capacity). A failed full pass
-// extends the ladder (or cancels a pending drain) and retries without
-// consuming a pass; the ladder can only change a bounded number of times,
-// so MaxPasses still bounds the call.
+// extends the ladder (or cancels a pending drain, or waits out another
+// goroutine's transition; see regrow) and retries without consuming a
+// pass; the ladder can only change a bounded number of times, so MaxPasses
+// still bounds the call.
 func (a *ElasticArena) Acquire(p *shm.Proc) int {
 	stamp := a.leaseStamp(p)
 	r := p.Rand()
@@ -576,6 +607,11 @@ func (a *ElasticArena) Acquire(p *shm.Proc) int {
 				continue
 			}
 			if a.cfg.WordScan {
+				// A level hinted saturated word by word would only spend
+				// draws on probes that skip at zero steps.
+				if lvl.space.Saturated() {
+					continue
+				}
 				words := lvl.space.Words()
 				for t := 0; t < a.cfg.Probes; t++ {
 					w := r.Intn(words)
@@ -627,7 +663,7 @@ func (a *ElasticArena) Acquire(p *shm.Proc) int {
 				}
 			}
 		}
-		if regrown <= len(a.levels)+1 && a.structFull() && a.Grow() {
+		if regrown <= len(a.levels)+1 && a.structFull() && a.regrow() {
 			regrown++
 			continue
 		}
@@ -708,7 +744,7 @@ func (a *ElasticArena) AcquireN(p *shm.Proc, k int, out []int) []int {
 		}
 		for li := floor; k > 0 && li < act; li++ {
 			lvl := a.levels[li].Load()
-			if lvl == nil || lvl.state.Load() != elActive {
+			if lvl == nil || lvl.state.Load() != elActive || lvl.space.Saturated() {
 				continue
 			}
 			words := lvl.space.Words()
@@ -730,7 +766,7 @@ func (a *ElasticArena) AcquireN(p *shm.Proc, k int, out []int) []int {
 			}
 		}
 		if k > 0 {
-			if regrown <= len(a.levels)+1 && a.structFull() && a.Grow() {
+			if regrown <= len(a.levels)+1 && a.structFull() && a.regrow() {
 				regrown++
 				continue
 			}

@@ -302,6 +302,58 @@ func TestElasticLeaseReclaim(t *testing.T) {
 	}
 }
 
+// TestElasticSkipsSaturatedLevels covers the level-granular probe skip on
+// the elastic ladder. A drain force-saturates the draining level's hints:
+// with levels 0 and 1 full, an acquire spends no draw until the failed pass
+// cancels the drain, which reopens the hints, and then takes one draw in
+// the reopened level. The hints stay advisory: an active level whose hints
+// were all forced (the window a racing drain leaves a straggler) is skipped
+// by the probes yet still served by the deterministic scan.
+func TestElasticSkipsSaturatedLevels(t *testing.T) {
+	a := NewElastic(4096, ElasticConfig{WordScan: true, MaxPasses: 4, Label: "t-eskip"})
+	a.Grow()
+	a.Grow()
+	space := func(li int) *shm.NameSpace { return a.levels[li].Load().space }
+	filler := nativeProc(1)
+	saturate(space(0), filler)
+	saturate(space(1), filler)
+	// One holder in level 2 keeps its drain pending.
+	if space(2).ClaimFirstFree(filler, 0) < 0 {
+		t.Fatal("level 2 claim failed")
+	}
+	if a.Shrink() {
+		t.Fatal("Shrink retired a level with a holder")
+	}
+	if !space(2).Saturated() {
+		t.Fatal("draining level not hint-saturated")
+	}
+	p := nativeProc(2)
+	from := *p.Rand()
+	n := a.Acquire(p)
+	if li, _ := a.locate(n); li != 2 {
+		t.Fatalf("acquired %d in level %d, want the reopened level 2", n, li)
+	}
+	if _, _, cancels := a.Resizes(); cancels != 1 {
+		t.Fatalf("%d drain cancels, want 1", cancels)
+	}
+	// Level 2 has 4 words: Intn(4) takes exactly one draw, after the cancel.
+	if d := draws(t, from, p); d != 1 {
+		t.Fatalf("acquire took %d draws, want 1", d)
+	}
+
+	b := NewElastic(4096, ElasticConfig{WordScan: true, MaxPasses: 4, Label: "t-eskip-b"})
+	b.Grow()
+	saturate(b.levels[0].Load().space, filler)
+	b.levels[1].Load().space.SaturateAll()
+	from = *p.Rand()
+	if n := b.Acquire(p); n != 64 {
+		t.Fatalf("acquired %d, want 64: the scan must serve a level whose hints were forced", n)
+	}
+	if d := draws(t, from, p); d != 0 {
+		t.Fatalf("acquire took %d draws, want 0 with every level hinted full", d)
+	}
+}
+
 // TestElasticBatchPaths covers AcquireN/ReleaseN across a resize: a batch
 // larger than the resident capacity grows the ladder mid-batch, the names
 // are unique, and the batch release coalesces back cleanly.

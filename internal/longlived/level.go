@@ -220,16 +220,24 @@ func (a *LevelArena) Acquire(p *shm.Proc) int {
 // acquireWord is the word-granular Acquire: random probes pick a bitmap
 // word per attempt — skipping words hinted saturated, at no step cost —
 // and ClaimFirstFree turns the whole word into one snapshot-scan-CAS step.
-// The backstop scans words, not names: capacity/64 steps instead of
-// 2×capacity. Hints only redirect probes; the backstop reads every word
-// itself, so a stale hint (a release racing the claim that set it) can
-// never starve the termination guarantee.
+// A level below the backstop whose every word is hinted saturated
+// (NameSpace.Saturated) is skipped before its probes are drawn: each probe
+// would have landed on a hinted word at zero steps, so only the draws
+// disappear (ALGORITHMS.md §10). The backstop's probes are never skipped,
+// so a single-level ladder draws exactly as before. The backstop scans
+// words, not names: capacity/64 steps instead of 2×capacity. Hints only
+// redirect probes; the backstop reads every word itself, so a stale hint
+// (a release racing the claim that set it) can never starve the
+// termination guarantee.
 func (a *LevelArena) acquireWord(p *shm.Proc) int {
 	stamp := a.leaseStamp(p)
 	r := p.Rand()
 	backstop := len(a.levels) - 1
 	for pass := 0; a.cfg.MaxPasses == 0 || pass < a.cfg.MaxPasses; pass++ {
 		for li, lvl := range a.levels {
+			if li < backstop && lvl.Saturated() {
+				continue
+			}
 			words := lvl.Words()
 			for t := 0; t < a.cfg.Probes; t++ {
 				w := r.Intn(words)
@@ -273,6 +281,9 @@ func (a *LevelArena) AcquireN(p *shm.Proc, k int, out []int) []int {
 	backstop := len(a.levels) - 1
 	for pass := 0; k > 0 && (a.cfg.MaxPasses == 0 || pass < a.cfg.MaxPasses); pass++ {
 		for li, lvl := range a.levels {
+			if li < backstop && lvl.Saturated() {
+				continue
+			}
 			words := lvl.Words()
 			for t := 0; k > 0 && t < a.cfg.Probes; t++ {
 				w := r.Intn(words)

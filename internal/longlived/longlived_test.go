@@ -414,6 +414,60 @@ func TestWordScanFullOccupancyCheaper(t *testing.T) {
 	}
 }
 
+// draws counts the random numbers p consumed since from was snapshotted
+// from its generator.
+func draws(t *testing.T, from prng.Rand, p *shm.Proc) int {
+	t.Helper()
+	for n := 0; n <= 1000; n++ {
+		if from == *p.Rand() {
+			return n
+		}
+		from.Uint64()
+	}
+	t.Fatal("generator moved more than 1000 draws")
+	return -1
+}
+
+// saturate claims every free name of s and then observes each word full,
+// which sets every word's saturation hint.
+func saturate(s *shm.NameSpace, p *shm.Proc) {
+	for w := 0; w < s.Words(); w++ {
+		for s.ClaimFirstFree(p, w) >= 0 {
+		}
+	}
+}
+
+// TestLevelSkipsSaturatedLevels pins the level-granular probe skip: with
+// levels 0–3 of a word-scan ladder saturated and hinted, an acquire spends
+// no random draw on them and takes its single draw in level 4. Freeing one
+// level-0 name clears its word's hint, so the next acquire probes level 0
+// again and returns exactly that name.
+func TestLevelSkipsSaturatedLevels(t *testing.T) {
+	a := NewLevel(4096, LevelConfig{WordScan: true, MaxPasses: 4, Label: "t-skip"})
+	filler := nativeProc(1)
+	for li := 0; li < 4; li++ {
+		saturate(a.levels[li], filler)
+		if !a.levels[li].Saturated() {
+			t.Fatalf("level %d not saturated after fill", li)
+		}
+	}
+	p := nativeProc(2)
+	from := *p.Rand()
+	n := a.Acquire(p)
+	if li, _ := a.locate(n); li != 4 {
+		t.Fatalf("acquired %d in level %d, want level 4", n, li)
+	}
+	// Level 4 has 16 words: Intn(16) takes exactly one draw.
+	if d := draws(t, from, p); d != 1 {
+		t.Fatalf("acquire took %d draws, want 1 (none for the saturated levels 0-3)", d)
+	}
+	const freed = 5
+	a.Release(filler, freed)
+	if got := a.Acquire(p); got != freed {
+		t.Fatalf("acquire after freeing level-0 name %d returned %d", freed, got)
+	}
+}
+
 // TestChurnAdversarial runs churn under the adaptive policies, including
 // the release-starving collider: safety (unique live names) and liveness
 // (every worker drains) must hold under every adversary.

@@ -41,11 +41,17 @@ import (
 // per-shard occupancy hints are both instances.
 type HintBits struct {
 	words []atomic.Uint64
+	// last is the mask of the tracked bits of the final word (all ones
+	// when n is a multiple of 64), precomputed for Full.
+	last uint64
 }
 
 // NewHintBits returns an all-clear hint bitmap over n objects.
 func NewHintBits(n int) *HintBits {
-	return &HintBits{words: make([]atomic.Uint64, (n+63)/64)}
+	return &HintBits{
+		words: make([]atomic.Uint64, (n+63)/64),
+		last:  ^uint64(0) >> (uint(-n) & 63),
+	}
 }
 
 // Set records that object i was observed saturated.
@@ -65,6 +71,27 @@ func (h *HintBits) Clear(i int) {
 // Get reports the hint for object i. A true result may be stale.
 func (h *HintBits) Get(i int) bool {
 	return h.words[i>>6].Load()&(1<<(uint(i)&63)) != 0
+}
+
+// Full reports whether every tracked object is hinted saturated: the
+// level-granular view of the per-object hints. Over at most 64 objects it
+// is one load compared against the precomputed last-word mask; larger sets
+// check the final word first and stop at the first clear bit. Like Get, a
+// true result may be stale, and Full over zero objects is vacuously true.
+func (h *HintBits) Full() bool {
+	n := len(h.words) - 1
+	if n < 0 {
+		return true
+	}
+	if h.words[n].Load()&h.last != h.last {
+		return false
+	}
+	for i := 0; i < n; i++ {
+		if h.words[i].Load() != ^uint64(0) {
+			return false
+		}
+	}
+	return true
 }
 
 // Reset clears every hint. Only safe when no processes are running.
@@ -128,6 +155,13 @@ func (s *NameSpace) wordPtr(w int) (*atomic.Uint64, uint64) {
 // step. A true result may be stale (a release can race the claim that set
 // it), so it must only redirect probes, never gate a fallback scan.
 func (s *NameSpace) WordSaturated(w int) bool { return s.sat.Get(w) }
+
+// Saturated reports whether every word of the space is hinted full, without
+// spending a process step: a random word probe could then only land on a
+// hinted word and be skipped, so a probe loop may skip the whole space
+// before drawing. Advisory exactly like WordSaturated — deterministic
+// fallback scans must still read the words.
+func (s *NameSpace) Saturated() bool { return s.sat.Full() }
 
 // lowestBits returns the k lowest set bits of m (all of m if it has fewer).
 func lowestBits(m uint64, k int) uint64 {

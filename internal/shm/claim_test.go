@@ -46,6 +46,50 @@ func TestClaimFirstFreeOneStepPerClaim(t *testing.T) {
 	}
 }
 
+// TestHintBitsFull pins the level-granular summary: Full holds exactly when
+// every tracked bit is set, whatever the last word's fill, and one Clear
+// (or a Reset) reopens it. Bits beyond n never count.
+func TestHintBitsFull(t *testing.T) {
+	for _, n := range []int{1, 63, 64, 65, 128, 130} {
+		h := NewHintBits(n)
+		if h.Full() {
+			t.Fatalf("n=%d: fresh hints report full", n)
+		}
+		// Every bit but the last one set: a partial last word is not full.
+		for i := 0; i < n-1; i++ {
+			h.Set(i)
+		}
+		if h.Full() {
+			t.Fatalf("n=%d: full with bit %d clear", n, n-1)
+		}
+		h.Set(n - 1)
+		if !h.Full() {
+			t.Fatalf("n=%d: not full with every bit set one by one", n)
+		}
+		// One Clear anywhere reopens the set; the first word covers the
+		// multi-word case where the last word alone still reads full.
+		for _, i := range []int{0, n / 2, n - 1} {
+			h.Clear(i)
+			if h.Full() {
+				t.Fatalf("n=%d: still full after Clear(%d)", n, i)
+			}
+			h.Set(i)
+		}
+		h.Reset()
+		if h.Full() {
+			t.Fatalf("n=%d: full after Reset", n)
+		}
+		h.SetAll()
+		if !h.Full() {
+			t.Fatalf("n=%d: not full after SetAll", n)
+		}
+		h.Clear(n - 1)
+		if h.Full() {
+			t.Fatalf("n=%d: full after SetAll then Clear(%d)", n, n-1)
+		}
+	}
+}
+
 func TestClaimUpTo(t *testing.T) {
 	s := NewNameSpace("t-cut", 64)
 	p := claimProc(0)

@@ -196,6 +196,12 @@ func (p *Proc) Rand() *prng.Rand { return p.rng }
 // Steps returns the number of shared-memory accesses performed so far.
 func (p *Proc) Steps() int64 { return p.steps }
 
+// Native reports whether p runs ungated on real cores. Only then can a
+// process share a core with the one it waits for, so only then is yielding
+// the processor inside a spin useful; a simulated process runs exactly when
+// the scheduler grants its next step.
+func (p *Proc) Native() bool { return p.gate == nil }
+
 // Step accounts for (and, in simulated mode, schedules) one shared-memory
 // access. It must be called by a substrate immediately before executing the
 // access. It panics with Crash if the adversary crashes the process and
