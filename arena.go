@@ -454,10 +454,12 @@ type ArenaStats struct {
 	// PeakCapacity is the largest CapacityNow the arena has reached;
 	// Capacity for fixed backends.
 	PeakCapacity int
-	// ResidentBytes is the resident bitmap, saturation-hint, and
-	// lease-stamp storage of backends that report it (level-ladder
-	// arenas, fixed and elastic) — the memory-proportionality proxy
-	// BENCH_6.json records. 0 for backends without a footprint report.
+	// ResidentBytes is the bitmap, saturation-hint, and lease-stamp
+	// storage allocated so far by backends that report it (level-ladder
+	// arenas, fixed and elastic, and OpenArena's mapped namespace).
+	// Bitmaps and stamp pages become resident on first claim, so it
+	// follows the levels holders have reached — the memory-proportionality
+	// proxy BENCH_6.json records. 0 for backends without a footprint report.
 	ResidentBytes int64
 	// ScrubPasses counts completed integrity scrub passes (Scrub calls and
 	// background ticks). Always 0 with Integrity off.

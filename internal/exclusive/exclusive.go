@@ -27,9 +27,11 @@
 // stack, so a selection pops the top name and writes the ownership
 // register, and a release pushes the name back. Entering a match spins at
 // most a bounded budget before backing out (clearing its own flag — always
-// safe in Peterson's protocol), so an Acquire pass fails cleanly under
-// contention instead of blocking, exactly the bounded-pass contract the
-// other backends implement with MaxPasses.
+// safe in Peterson's protocol) and climbing again, so a descheduled
+// opponent delays a contender but cannot wedge it. A back-out is
+// contention, not fullness: it consumes no pass, and Acquire reports the
+// arena full only after a pass observed the freelist empty — the
+// no-false-full contract the other backends keep with MaxPasses.
 //
 // # Model requirements and crash behavior
 //
@@ -68,7 +70,7 @@ type Config struct {
 	// scheduler's step budget instead).
 	MaxPasses int
 	// SpinBudget bounds the spin iterations per match before a contender
-	// backs out and fails the pass. Default 128 — several uncontended
+	// backs out and climbs again. Default 128 — several uncontended
 	// critical sections long.
 	SpinBudget int
 	// Label prefixes the operation-space labels. Default "exclusive".
@@ -221,9 +223,10 @@ func (a *Arena) tryLock(p *shm.Proc) bool {
 	return true
 }
 
-// lock climbs until it wins, for operations that must not fail (releases).
-// Fair schedules guarantee termination: every holder's critical section is
-// O(1) registers long.
+// lock climbs until it wins, retrying past spin-budget back-outs: lock
+// contention delays an operation but never fails it. Fair schedules
+// guarantee termination: every holder's critical section is O(1)
+// registers long.
 func (a *Arena) lock(p *shm.Proc) {
 	for !a.tryLock(p) {
 	}
@@ -284,13 +287,11 @@ func (a *Arena) Capacity() int { return a.cap }
 func (a *Arena) NameBound() int { return a.cap }
 
 // Acquire implements longlived.Arena: win the selection lock, pop a free
-// name. A pass fails when lock contention exhausts the spin budget or the
-// freelist is empty; MaxPasses bounds the passes (0 = unlimited).
+// name. A pass fails only when it finds the freelist empty, so -1 means
+// full, never contended; MaxPasses bounds the passes (0 = unlimited).
 func (a *Arena) Acquire(p *shm.Proc) int {
 	for pass := 0; a.cfg.MaxPasses == 0 || pass < a.cfg.MaxPasses; pass++ {
-		if !a.tryLock(p) {
-			continue
-		}
+		a.lock(p)
 		name := a.pop(p)
 		a.unlock(p)
 		if name >= 0 {
@@ -304,9 +305,7 @@ func (a *Arena) Acquire(p *shm.Proc) int {
 // remainder as the freelist holds under one lock acquisition.
 func (a *Arena) AcquireN(p *shm.Proc, k int, out []int) []int {
 	for pass := 0; k > 0 && (a.cfg.MaxPasses == 0 || pass < a.cfg.MaxPasses); pass++ {
-		if !a.tryLock(p) {
-			continue
-		}
+		a.lock(p)
 		for k > 0 {
 			name := a.pop(p)
 			if name < 0 {

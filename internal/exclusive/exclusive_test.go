@@ -2,6 +2,7 @@ package exclusive
 
 import (
 	"sync"
+	"sync/atomic"
 	"testing"
 
 	"shmrename/internal/longlived"
@@ -147,6 +148,41 @@ func TestSimulatedChurnDeterministic(t *testing.T) {
 	}
 	if first.maxName >= 64 {
 		t.Fatalf("max name %d breaches the capacity-tight bound", first.maxName)
+	}
+}
+
+// TestNativeStormNoFalseFull is the no-false-full law at its sharpest: one
+// pass per acquire and a tiny spin budget make back-outs frequent, yet with
+// at most goroutines < capacity names held no acquire may report the arena
+// full — a back-out is contention, and retries.
+func TestNativeStormNoFalseFull(t *testing.T) {
+	const (
+		capacity   = 96
+		goroutines = 24
+		cycles     = 200
+	)
+	a := New(capacity, Config{MaxPasses: 1, SpinBudget: 2, Label: "t-excl-nofull"})
+	var full atomic.Int64
+	var wg sync.WaitGroup
+	for g := 0; g < goroutines; g++ {
+		wg.Add(1)
+		go func(id int) {
+			defer wg.Done()
+			p := nativeProc(id)
+			for c := 0; c < cycles; c++ {
+				n := a.Acquire(p)
+				if n < 0 {
+					full.Add(1)
+					continue
+				}
+				a.Release(p, n)
+			}
+		}(g)
+	}
+	wg.Wait()
+	if f := full.Load(); f != 0 {
+		t.Fatalf("%d of %d acquires reported the arena full with at most %d of %d names held",
+			f, goroutines*cycles, goroutines, capacity)
 	}
 }
 

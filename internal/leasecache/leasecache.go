@@ -54,6 +54,7 @@ package leasecache
 
 import (
 	"fmt"
+	"math/bits"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -291,17 +292,57 @@ func (c *Cache) refill(p *shm.Proc, s *slot) int {
 	}
 	name := got[len(got)-1]
 	s.names = got[:len(got)-1]
-	for idx, n := range s.names {
-		if !c.mark(n) {
-			// Cache failed mid-refill: the unparked tail goes straight
-			// back to the inner pool, the marked prefix stays parked.
-			c.inner.ReleaseN(p, s.names[idx:])
-			s.names = s.names[:idx]
-			break
-		}
+	if n := c.park(s.names); n < len(s.names) {
+		// Cache failed mid-refill: the unparked tail goes straight back
+		// to the inner pool, the parked prefix stays parked.
+		c.inner.ReleaseN(p, s.names[n:])
+		s.names = s.names[:n]
 	}
 	c.refills.Add(1)
 	return name
+}
+
+// park marks a freshly leased block parked and returns how many of its
+// leading names it parked. A block usually fills one cached-bit word, so
+// each word costs one CAS and the block one nCached add, instead of one of
+// each per name. A word whose bits are already set (or a block naming a
+// name twice) falls back to mark, name by name, so a violation still names
+// the name and the names before it stay parked.
+func (c *Cache) park(names []int) int {
+	n, bulk := 0, 0
+	for n < len(names) {
+		wi, end, mask := names[n]>>6, n, uint64(0)
+		for ; end < len(names) && names[end]>>6 == wi; end++ {
+			mask |= 1 << (uint(names[end]) & 63)
+		}
+		if bits.OnesCount64(mask) == end-n && setFree(&c.cached[wi], mask) {
+			bulk += end - n
+			n = end
+			continue
+		}
+		for n < end && c.mark(names[n]) {
+			n++
+		}
+		if n < end {
+			break
+		}
+	}
+	c.nCached.Add(int64(bulk))
+	return n
+}
+
+// setFree sets every bit of mask in w with one CAS, provided none is set
+// yet; otherwise it leaves w untouched and reports false.
+func setFree(w *atomic.Uint64, mask uint64) bool {
+	for {
+		old := w.Load()
+		if old&mask != 0 {
+			return false
+		}
+		if w.CompareAndSwap(old, old|mask) {
+			return true
+		}
+	}
 }
 
 // steal pops one parked name from any slot, starting at the proc's own.

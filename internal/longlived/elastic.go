@@ -33,10 +33,11 @@ import (
 // against the exact object it claimed in — a slot retired and regrown
 // between claim and revalidation cannot be confused with its predecessor.
 //
-//   - Grow: allocate the next geometric level (bitmap, hints, stamps) off
-//     to the side, store its pointer, then publish the new (gen+1, act+1)
-//     word with one atomic store. Acquirers that read the old word merely
-//     probe one level fewer for one pass.
+//   - Grow: build the next geometric level off to the side (its bitmap and
+//     stamp pages become resident on its first claim), store its pointer,
+//     then publish the new (gen+1, act+1) word with one atomic store.
+//     Acquirers that read the old word merely probe one level fewer for
+//     one pass.
 //   - Shrink: mark the top level draining (claims revalidate and bounce;
 //     the word-saturation hints are force-set so word probes skip it at
 //     zero step cost), then wait for a clean occupancy scan. Under Go's
@@ -92,7 +93,6 @@ type ElasticArena struct {
 	// drainTick throttles finish-drain attempts from unrelated releases.
 	shrinkScore atomic.Int64
 	drainTick   atomic.Int64
-	resident    atomic.Int64
 	// Transition counters (diagnostics).
 	grows, shrinks, cancels atomic.Int64
 }
@@ -114,7 +114,6 @@ type elLevel struct {
 	idx    int
 	base   int
 	size   int
-	bytes  int64
 	state  atomic.Uint32
 }
 
@@ -264,14 +263,11 @@ func (a *ElasticArena) installLevel(li int) {
 		base:  a.base[li],
 		size:  a.sizes[li],
 	}
-	lvl.bytes = int64(lvl.space.FootprintBytes())
 	if a.cfg.Lease.enabled() {
 		lvl.stamps = shm.NewStamps(label+":lease", a.sizes[li])
 		lvl.space.AttachStamps(lvl.stamps, 0)
-		lvl.bytes += int64(lvl.stamps.Size()) * 8
 	}
 	a.levels[li].Store(lvl)
-	a.resident.Add(lvl.bytes)
 }
 
 // retune recomputes the cached capacity and trigger thresholds after a
@@ -331,9 +327,22 @@ func (a *ElasticArena) CapacityNow() int { return int(a.capNow.Load()) }
 // PeakCapacity implements registry.Elastic.
 func (a *ElasticArena) PeakCapacity() int { return int(a.peakCap.Load()) }
 
-// ResidentBytes implements registry.Footprint: bitmap words, saturation
-// hints, and lease stamps of the resident levels.
-func (a *ElasticArena) ResidentBytes() int64 { return a.resident.Load() }
+// ResidentBytes implements registry.Footprint: the storage the resident
+// levels have allocated so far — saturation hints and stamp page tables
+// from their grow, bitmaps and stamp pages from their first claims —
+// summed at call time.
+func (a *ElasticArena) ResidentBytes() int64 {
+	var b int64
+	for li := range a.levels {
+		if lvl := a.levels[li].Load(); lvl != nil {
+			b += int64(lvl.space.FootprintBytes())
+			if lvl.stamps != nil {
+				b += lvl.stamps.ResidentBytes()
+			}
+		}
+	}
+	return b
+}
 
 // Resizes returns the cumulative (grows, shrinks, drain-cancels) counters
 // (diagnostics and tests).
@@ -481,7 +490,6 @@ func (a *ElasticArena) finishDrain() bool {
 	act := int(st & 0xffff)
 	a.ladder.Store(packLadder((st>>16)+1, act-1))
 	a.levels[di].Store(nil)
-	a.resident.Add(-lvl.bytes)
 	a.drainIdx.Store(-1)
 	a.shrinks.Add(1)
 	a.retune()

@@ -132,7 +132,16 @@ func TestElasticGrowFillShrink(t *testing.T) {
 func TestElasticProportionalResidency(t *testing.T) {
 	const capacity = 4096
 	const k = capacity / 64
-	fixed := NewLevel(capacity, LevelConfig{Label: "t-eprop-f"})
+	// The peak-provisioned baseline is a fixed ladder that has claimed in
+	// every level, so all of its storage is resident: one word-scan batch
+	// pass probes, and claims in, each level.
+	fixed := NewLevel(capacity, LevelConfig{WordScan: true, MaxPasses: 1, Label: "t-eprop-f"})
+	fixed.AcquireN(nativeProc(1), fixed.NameBound(), nil)
+	for li, lvl := range fixed.levels {
+		if lvl.CountClaimed() == 0 {
+			t.Fatalf("fixed ladder never claimed in level %d", li)
+		}
+	}
 	a := NewElastic(capacity, ElasticConfig{Label: "t-eprop-e"})
 	p := nativeProc(0)
 	for cycle := 0; cycle < 200; cycle++ {

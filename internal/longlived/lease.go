@@ -89,16 +89,23 @@ type Recoverable interface {
 // HeartbeatHolder renews every lease the holder currently owns across the
 // arena's domains to the given epoch, returning the number of renewed
 // leases. One step per renewed lease (a CAS on the stamp); names whose
-// lease was already reclaimed are skipped — the holder has lost them.
+// lease was already reclaimed are skipped — the holder has lost them — and
+// so are stamp pages never written, which hold no lease at all.
 func HeartbeatHolder(a Recoverable, p *shm.Proc, holder, epoch uint64) int {
 	renewed := 0
 	for _, d := range a.LeaseDomains() {
-		for i := 0; i < d.Stamps.Size(); i++ {
-			if h, _ := shm.UnpackStamp(d.Stamps.Load(i)); h != holder {
+		n := d.Stamps.Size()
+		for lo := 0; lo < n; lo += 64 {
+			if !d.Stamps.Resident(lo) {
 				continue
 			}
-			if d.Stamps.Refresh(p, i, holder, epoch) {
-				renewed++
+			for i := lo; i < min(lo+64, n); i++ {
+				if h, _ := shm.UnpackStamp(d.Stamps.Load(i)); h != holder {
+					continue
+				}
+				if d.Stamps.Refresh(p, i, holder, epoch) {
+					renewed++
+				}
 			}
 		}
 	}

@@ -369,6 +369,13 @@ func (a *Arena) Held() int { return a.ns.CountClaimed() }
 // HeldBy counts the names currently leased to the given holder.
 func (a *Arena) HeldBy(holder uint64) int { return a.stamps.CountHolder(holder) }
 
+// ResidentBytes implements registry.Footprint: the mapped bitmap and stamp
+// words, all resident from Open, plus the process-local saturation hints
+// and stamp page table.
+func (a *Arena) ResidentBytes() int64 {
+	return int64(a.ns.FootprintBytes()) + a.stamps.ResidentBytes()
+}
+
 // Probeables implements longlived.Arena.
 func (a *Arena) Probeables() map[string]shm.Probeable {
 	return map[string]shm.Probeable{a.ns.Label(): a.ns}

@@ -75,6 +75,17 @@ func TestPersistCreateAttachReclaim(t *testing.T) {
 	}
 }
 
+// TestPersistFullyResident: the mmap-backed namespace is resident from
+// Open (its bitmap and every stamp page live in the mapping), so it
+// reports its full footprint before any claim.
+func TestPersistFullyResident(t *testing.T) {
+	a := openT(t, filepath.Join(t.TempDir(), "ns"), Options{Names: 130, Holder: 100})
+	// 3 bitmap words and 1 hint word; 130 stamp words and 3 page pointers.
+	if got, want := a.ResidentBytes(), int64(8*(3+1+130+3)); got != want {
+		t.Fatalf("fresh namespace reports %d resident bytes, want %d", got, want)
+	}
+}
+
 // TestPersistOpenValidation: corrupt or mismatched files are refused, never
 // reinterpreted.
 func TestPersistOpenValidation(t *testing.T) {

@@ -76,6 +76,37 @@ func TestSweepReclaimsDeadHolder(t *testing.T) {
 	}
 }
 
+// TestSweepAdoptsOrphanOnAbsentPage: a claim bit set under a stamp page
+// nothing has written yet (a claimant that won the bit and crashed before
+// its first publish there) is adopted like any orphan, the adoption
+// installing the page, and reclaimed once stale. A heartbeat, which skips
+// absent pages, neither renews nor installs anything there.
+func TestSweepAdoptsOrphanOnAbsentPage(t *testing.T) {
+	ep := shm.NewCounterEpochs(1)
+	a := longlived.NewLevel(256, longlived.LevelConfig{Lease: &longlived.LeaseOpts{Epochs: ep}, MaxPasses: 4})
+	d := a.LeaseDomains()[0]
+	const orphan = 300 // in the backstop level, far from any claim
+	p := shm.NewProc(1, prng.NewStream(1, 1), nil, 0)
+	if !d.Seize(p, orphan) {
+		t.Fatal("seize of a free name failed")
+	}
+	if got := longlived.HeartbeatHolder(a, p, 2, ep.Now()); got != 0 || d.Stamps.Resident(orphan) {
+		t.Fatalf("heartbeat renewed %d leases on an absent page (resident now: %v)", got, d.Stamps.Resident(orphan))
+	}
+	sw := NewSweeper(a, Config{TTL: 5, Epochs: ep})
+	reaper := shm.NewProc(200, prng.NewStream(1, 200), nil, 0)
+	if res := sw.Sweep(reaper); res.Adopted != 1 {
+		t.Fatalf("sweep %+v, want the orphan adopted", res)
+	}
+	if h, _ := shm.UnpackStamp(d.Stamps.Load(orphan)); h != shm.HolderOrphan {
+		t.Fatalf("orphan stamped by holder %d", h)
+	}
+	ep.Advance(10)
+	if res := sw.Sweep(reaper); res.Reclaimed != 1 || a.IsHeld(orphan) {
+		t.Fatalf("sweep %+v left the stale orphan held", res)
+	}
+}
+
 // TestSweepSparesLiveHolder pins the no-lost-name side: a holder whose
 // heartbeat lands before the sweep keeps every name even far past the TTL
 // of its original stamps.

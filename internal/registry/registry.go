@@ -88,11 +88,14 @@ type Elastic interface {
 }
 
 // Footprint is the optional interface of arenas that can report their
-// resident shared-state storage — bitmap words, saturation hints, and
-// lease stamps. It is the resident-bytes proxy behind the elastic arena's
-// proportional-memory claim; fixed backends report their static footprint.
+// shared-state storage — bitmap words, saturation hints, and lease stamps
+// — allocated so far. Name spaces and stamp pages become resident on first
+// claim, so a fixed ladder reports the levels its holders have reached and
+// an elastic one its resident levels: the resident-bytes proxy behind the
+// proportional-memory claims.
 type Footprint interface {
-	// ResidentBytes is the arena's current shared-state storage in bytes.
+	// ResidentBytes is the arena's shared-state storage allocated so far,
+	// in bytes.
 	ResidentBytes() int64
 }
 

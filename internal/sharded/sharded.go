@@ -614,8 +614,13 @@ func (a *Arena) ResidentBytes() int64 {
 }
 
 // Draining implements registry.Drainer, routing to the owning stripe: a
-// caching layer must not park names of a draining per-shard level.
+// caching layer must not park names of a draining per-shard level. Fixed
+// stripes never drain, so without elastic stripes it answers at once (the
+// lease cache asks on every release).
 func (a *Arena) Draining(name int) bool {
+	if a.cfg.Elastic == nil {
+		return false
+	}
 	s, i := a.locate(name)
 	d, ok := a.shards[s].(registry.Drainer)
 	return ok && d.Draining(i)

@@ -2,6 +2,7 @@ package shm
 
 import (
 	"sync"
+	"sync/atomic"
 	"testing"
 
 	"shmrename/internal/prng"
@@ -129,18 +130,131 @@ func TestBitmapOutOfRangePanics(t *testing.T) {
 	}
 }
 
-// TestBitmapMemoryFootprint pins the tentpole's space win: a 2^20-name
-// packed space stores one bit per name (plus a constant), 8x below the old
-// byte-per-name layout.
+// TestBitmapMemoryFootprint pins the packed layout's space win and its
+// residency on first claim: a fresh 2^20-name space holds only its
+// saturation hints, and the first claim installs one bit per name, 8x
+// below the old byte-per-name layout.
 func TestBitmapMemoryFootprint(t *testing.T) {
 	const m = 1 << 20
 	s := NewNameSpace("foot", m)
-	words := len(s.words)
-	if want := m / 64; words != want {
-		t.Fatalf("2^20-name packed space uses %d words, want %d", words, want)
+	const hints = m / 64 / 64 * 8
+	if got := s.FootprintBytes(); got != hints {
+		t.Fatalf("fresh 2^20-name space holds %d bytes, want its %d bytes of hints", got, hints)
 	}
-	// 8 bytes per word: 128 KiB total, vs 1 MiB for []atomic.Bool.
-	if bytes := words * 8; bytes*4 > m {
-		t.Fatalf("packed space uses %d bytes for %d names: less than 4x under byte-per-name", bytes, m)
+	s.TryClaim(NewProc(0, nil, nil, 0), m-1)
+	// 128 KiB of bitmap, vs 1 MiB for []atomic.Bool.
+	if got, want := s.FootprintBytes()-hints, m/8; got != want {
+		t.Fatalf("claimed 2^20-name packed space holds a %d-byte bitmap, want %d", got, want)
+	}
+}
+
+// TestNameSpaceResidentOnFirstClaim pins residency on first claim: reads
+// and releases on a fresh space take their usual steps but leave it at its
+// hints, and each kind of claim-side write installs the whole bitmap,
+// padding included.
+func TestNameSpaceResidentOnFirstClaim(t *testing.T) {
+	claims := map[string]func(s *NameSpace, p *Proc){
+		"TryClaim":            func(s *NameSpace, p *Proc) { s.TryClaim(p, 129) },
+		"ClaimFirstFree":      func(s *NameSpace, p *Proc) { s.ClaimFirstFree(p, 2) },
+		"ClaimUpTo":           func(s *NameSpace, p *Proc) { s.ClaimUpTo(p, 1, 3) },
+		"ClaimMask":           func(s *NameSpace, p *Proc) { s.ClaimMask(p, 0, 1<<7) },
+		"ClaimFirstFreeRange": func(s *NameSpace, p *Proc) { s.ClaimFirstFreeRange(p, 70, 130) },
+	}
+	for _, layout := range []struct {
+		name   string
+		mk     func(string, int) *NameSpace
+		stride int
+	}{{"packed", NewNameSpace, 1}, {"padded", NewNameSpacePadded, wordsPerLine}} {
+		for op, claim := range claims {
+			// 130 names: three bitmap words, summarized by one hint word.
+			s := layout.mk("resident-"+layout.name, 130)
+			p := NewProc(0, nil, nil, 0)
+			const hints = 8
+			if s.Claimed(p, 5) || s.Probe(129) || s.CountClaimed() != 0 || s.Saturated() {
+				t.Fatalf("%s %s: a fresh space reads a claim", layout.name, op)
+			}
+			s.Free(p, 5)
+			s.FreeMask(p, 1, ^uint64(0))
+			s.Reset()
+			if got := p.Steps(); got != 3 {
+				t.Fatalf("%s %s: Claimed, Free and FreeMask took %d steps, want 3", layout.name, op, got)
+			}
+			if got := s.FootprintBytes(); got != hints {
+				t.Fatalf("%s %s: %d bytes after reads and releases, want the %d-byte hint word", layout.name, op, got, hints)
+			}
+			claim(s, p)
+			if got, want := s.FootprintBytes(), hints+3*layout.stride*8; got != want {
+				t.Fatalf("%s %s: %d bytes after the first claim, want %d", layout.name, op, got, want)
+			}
+			if s.CountClaimed() == 0 {
+				t.Fatalf("%s %s: the first claim is not visible", layout.name, op)
+			}
+		}
+	}
+}
+
+// TestNameSpaceFirstClaimRace races first claims on fresh spaces: the
+// bitmap is installed once — every claimant ends on the same words — and
+// no claim is lost to a claimant whose own allocation lost the install
+// CAS. Run it under -race at -cpu 1,2: the install race needs parallelism.
+func TestNameSpaceFirstClaimRace(t *testing.T) {
+	const procs, rounds = 8, 100
+	for r := range rounds {
+		s := NewNameSpacePadded("first-claim-race", procs*64)
+		saw := make([]*[]atomic.Uint64, procs)
+		start := make(chan struct{})
+		var wg sync.WaitGroup
+		for g := range procs {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				p := NewProc(g, nil, nil, 0)
+				<-start
+				// Bit 0 of word g and bit 1 of the next word are this
+				// proc's alone.
+				if n := s.ClaimFirstFree(p, g); n != g*64 {
+					t.Errorf("round %d: proc %d claimed %d, want %d", r, g, n, g*64)
+				}
+				if !s.TryClaim(p, (g+1)%procs*64+1) {
+					t.Errorf("round %d: proc %d lost an uncontended name", r, g)
+				}
+				saw[g] = s.words.Load()
+			}()
+		}
+		close(start)
+		wg.Wait()
+		for g, ws := range saw {
+			if ws != s.words.Load() {
+				t.Fatalf("round %d: proc %d claimed in a bitmap that was not installed", r, g)
+			}
+		}
+		if got := s.CountClaimed(); got != 2*procs {
+			t.Fatalf("round %d: %d claims visible, want %d", r, got, 2*procs)
+		}
+	}
+}
+
+// TestBackedStorageResident: name spaces and stamp arrays on external
+// storage (the mmap-backed namespace) are resident from construction and
+// read and write the backing words in place.
+func TestBackedStorageResident(t *testing.T) {
+	bitmap := make([]atomic.Uint64, 3)
+	bitmap[2].Store(1 << 1) // name 129 claimed in the backing
+	s := NewNameSpaceBacked("backed-bits", 130, bitmap)
+	if got, want := s.FootprintBytes(), 3*8+8; got != want || !s.Probe(129) {
+		t.Fatalf("backed space: %d bytes (want %d), name 129 claimed %v", got, want, s.Probe(129))
+	}
+	stamps := make([]atomic.Uint64, 130)
+	stamps[129].Store(PackStamp(5, 1))
+	st := NewStampsBacked("backed-stamps", 130, stamps)
+	if got, want := st.ResidentBytes(), int64(8*(3+130)); got != want {
+		t.Fatalf("backed stamps: %d bytes, want %d", got, want)
+	}
+	if h, _ := UnpackStamp(st.Load(129)); h != 5 || !st.Resident(0) || !st.Resident(128) {
+		t.Fatal("backed stamps do not read their backing")
+	}
+	st.Inject(3, PackStamp(9, 1))
+	if stamps[3].Load() != PackStamp(9, 1) {
+		t.Fatal("a stamp write did not land in the backing")
 	}
 }

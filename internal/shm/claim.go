@@ -130,17 +130,17 @@ func (s *NameSpace) SaturateAll() { s.sat.SetAll() }
 // returning demand.
 func (s *NameSpace) DesaturateAll() { s.sat.Reset() }
 
-// FootprintBytes returns the resident storage of the space — bitmap words
-// plus the saturation-hint summary, padding included. A diagnostic for
-// memory-proportionality claims (the elastic arena's resident-bytes proxy),
-// not a process step.
+// FootprintBytes returns the storage the space has allocated so far: its
+// saturation-hint summary, plus the bitmap words (padding included) once a
+// claim has installed them. A diagnostic for memory-proportionality claims
+// (the arenas' resident-bytes reports), not a process step.
 func (s *NameSpace) FootprintBytes() int {
-	return (len(s.words) + len(s.sat.words)) * 8
+	return (len(s.bitmap()) + len(s.sat.words)) * 8
 }
 
-// wordPtr returns the storage word and the valid-bit mask of bitmap word w
+// wordSlot returns the bitmap slot and the valid-bit mask of bitmap word w
 // (the final word of a non-multiple-of-64 space is partial).
-func (s *NameSpace) wordPtr(w int) (*atomic.Uint64, uint64) {
+func (s *NameSpace) wordSlot(w int) (int, uint64) {
 	if uint(w) >= uint(s.Words()) {
 		panic(fmt.Sprintf("shm: word %d outside space %q of %d words", w, s.label, s.Words()))
 	}
@@ -148,7 +148,7 @@ func (s *NameSpace) wordPtr(w int) (*atomic.Uint64, uint64) {
 	if rem := s.size - w<<6; rem < 64 {
 		valid = 1<<uint(rem) - 1
 	}
-	return &s.words[w*s.stride], valid
+	return w * s.stride, valid
 }
 
 // WordSaturated reports the full-word hint for w without spending a process
@@ -182,9 +182,10 @@ func lowestBits(m uint64, k int) uint64 {
 // It returns the claimed bits (0 when no masked bit was free) and marks the
 // saturation hint when the whole word was observed full.
 func (s *NameSpace) claimLowest(p *Proc, w int, mask uint64, k int) uint64 {
-	ptr, valid := s.wordPtr(w)
+	at, valid := s.wordSlot(w)
 	mask &= valid
 	p.Step(Op{Kind: OpTAS, Space: s.id, Index: int32(w << 6)})
+	ptr := &s.resident()[at]
 	for {
 		cur := ptr.Load()
 		free := ^cur & mask
@@ -238,9 +239,9 @@ func (s *NameSpace) ClaimMask(p *Proc, w int, mask uint64) uint64 {
 // like Free). Clearing bits that are already free is a no-op, matching
 // Free's semantics. The word's saturation hint is dropped.
 func (s *NameSpace) FreeMask(p *Proc, w int, mask uint64) {
-	ptr, valid := s.wordPtr(w)
+	at, valid := s.wordSlot(w)
 	p.Step(Op{Kind: OpClear, Space: s.id, Index: int32(w << 6)})
-	ptr.And(^(mask & valid))
+	s.clear(at, mask&valid)
 	s.sat.Clear(w)
 }
 

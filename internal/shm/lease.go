@@ -203,29 +203,101 @@ type Stamps struct {
 	label string
 	id    SpaceID
 	size  int
-	words []atomic.Uint64
+	// pages holds one pointer per 64-name page, nil until the page's first
+	// write installs it (see slot).
+	pages []atomic.Pointer[[]atomic.Uint64]
+	// installed counts the stamp words of installed pages.
+	installed atomic.Int64
 	// hook, when set, is the fault-injection callback consulted at the
 	// instrumented crash points; returning true unwinds the worker with a
 	// LeaseCrash panic. Test-and-harness-only: nil on every real path.
 	hook func(p *Proc, point CrashPoint, name int) bool
 }
 
-// NewStamps returns an all-clear stamp array over n names.
+// NewStamps returns an all-clear stamp array over n names. It is resident
+// on first write: it is split into 64-name pages, one per bitmap word, and
+// the first Publish, Adopt, Inject or Quarantine on a page installs it. An
+// absent page reads as zero stamps — unheld, no lease — so Refresh and
+// ClearOwned report false there, and a CAS expecting a nonzero stamp fails
+// without allocating.
 func NewStamps(label string, n int) *Stamps {
-	return NewStampsBacked(label, n, make([]atomic.Uint64, n))
+	if n < 0 {
+		panic("shm: negative stamp array size")
+	}
+	return &Stamps{
+		label: label,
+		id:    InternSpace(label),
+		size:  n,
+		pages: make([]atomic.Pointer[[]atomic.Uint64], (n+63)/64),
+	}
 }
 
 // NewStampsBacked returns a stamp array over n names on externally owned
 // storage (e.g. a region of an mmap'd file). The backing slice is used in
 // place, state and all: opening an existing file preserves its leases.
+// Every page is resident from construction.
 func NewStampsBacked(label string, n int, words []atomic.Uint64) *Stamps {
-	if n < 0 {
-		panic("shm: negative stamp array size")
-	}
+	st := NewStamps(label, n)
 	if len(words) < n {
 		panic(fmt.Sprintf("shm: stamp backing of %d words cannot hold %d names", len(words), n))
 	}
-	return &Stamps{label: label, id: InternSpace(label), size: n, words: words[:n]}
+	pages := make([][]atomic.Uint64, len(st.pages))
+	for k := range pages {
+		pages[k] = words[k<<6 : min(k<<6+64, n)]
+		st.pages[k].Store(&pages[k])
+	}
+	st.installed.Store(int64(n))
+	return st
+}
+
+// page returns the stamp words of name i's page, or nil while it is absent.
+func (st *Stamps) page(i int) []atomic.Uint64 {
+	if pg := st.pages[i>>6].Load(); pg != nil {
+		return *pg
+	}
+	return nil
+}
+
+// slot returns name i's stamp word, installing its page on first write.
+func (st *Stamps) slot(i int) *atomic.Uint64 {
+	if pg := st.page(i); pg != nil {
+		return &pg[i&63]
+	}
+	return &st.install(i >> 6)[i&63]
+}
+
+// install allocates page k and publishes it with one CAS. Writers racing
+// here each allocate, but one CAS wins and the losers write into its page,
+// so no stamp lands in a discarded page.
+func (st *Stamps) install(k int) []atomic.Uint64 {
+	fresh := make([]atomic.Uint64, min(64, st.size-k<<6))
+	if st.pages[k].CompareAndSwap(nil, &fresh) {
+		st.installed.Add(int64(len(fresh)))
+		return fresh
+	}
+	return *st.pages[k].Load()
+}
+
+// cas swaps name i's stamp from old to next. An absent page holds zero
+// stamps, so only a swap from zero installs it; a swap expecting any other
+// value fails there without allocating.
+func (st *Stamps) cas(i int, old, next uint64) bool {
+	if old == 0 {
+		return st.slot(i).CompareAndSwap(0, next)
+	}
+	pg := st.page(i)
+	return pg != nil && pg[i&63].CompareAndSwap(old, next)
+}
+
+// Resident reports whether the page holding name i has been written. A
+// page that has not holds only zero stamps, hence no lease: heartbeats skip
+// it whole. No process step.
+func (st *Stamps) Resident(i int) bool { return st.pages[i>>6].Load() != nil }
+
+// ResidentBytes returns the stamp storage allocated so far: the page table
+// plus the words of every installed page.
+func (st *Stamps) ResidentBytes() int64 {
+	return 8 * (int64(len(st.pages)) + st.installed.Load())
 }
 
 // Label returns the stamp space's label.
@@ -236,7 +308,12 @@ func (st *Stamps) Size() int { return st.size }
 
 // Load reads the stamp of name i without spending a process step
 // (diagnostics and recovery sweeps).
-func (st *Stamps) Load(i int) uint64 { return st.words[i].Load() }
+func (st *Stamps) Load(i int) uint64 {
+	if pg := st.page(i); pg != nil {
+		return pg[i&63].Load()
+	}
+	return 0
+}
 
 // Publish installs a holder's lease on name i right after the holder won
 // the claim bit: one step, a CAS from whatever claimable state the slot is
@@ -244,8 +321,8 @@ func (st *Stamps) Load(i int) uint64 { return st.words[i].Load() }
 // lost the name to a racing reclaim and must walk away without touching the
 // bit — when the slot holds a suspect mark or a foreign holder's lease.
 func (st *Stamps) Publish(p *Proc, i int, stamp uint64) bool {
-	w := &st.words[i]
 	p.Step(Op{Kind: OpTAS, Space: st.id, Index: int32(i)})
+	w := st.slot(i)
 	for {
 		cur := w.Load()
 		if !StampClaimable(cur) {
@@ -262,8 +339,12 @@ func (st *Stamps) Publish(p *Proc, i int, stamp uint64) bool {
 // result means the lease was reclaimed (or never existed) — the caller no
 // longer holds the name.
 func (st *Stamps) Refresh(p *Proc, i int, holder, epoch uint64) bool {
-	w := &st.words[i]
 	p.Step(Op{Kind: OpTAS, Space: st.id, Index: int32(i)})
+	pg := st.page(i)
+	if pg == nil {
+		return false // an absent page holds no lease
+	}
+	w := &pg[i&63]
 	for {
 		cur := w.Load()
 		if h, _ := UnpackStamp(cur); h != holder {
@@ -281,8 +362,12 @@ func (st *Stamps) Refresh(p *Proc, i int, holder, epoch uint64) bool {
 // — the name is no longer the caller's to free, and the caller must NOT
 // clear the claim bit (it may already be re-granted).
 func (st *Stamps) ClearOwned(p *Proc, i int, holder uint64) bool {
-	w := &st.words[i]
 	p.Step(Op{Kind: OpClear, Space: st.id, Index: int32(i)})
+	pg := st.page(i)
+	if pg == nil {
+		return false // an absent page holds no lease
+	}
+	w := &pg[i&63]
 	for {
 		cur := w.Load()
 		if h, _ := UnpackStamp(cur); h != holder {
@@ -299,7 +384,7 @@ func (st *Stamps) ClearOwned(p *Proc, i int, holder uint64) bool {
 // claimant publishing concurrently — exactly the intent. Reaper-side; no
 // process step.
 func (st *Stamps) Adopt(i int, epoch uint64) bool {
-	return st.words[i].CompareAndSwap(0, PackStamp(HolderOrphan, epoch))
+	return st.cas(i, 0, PackStamp(HolderOrphan, epoch))
 }
 
 // BeginReclaim starts the two-phase reclaim of name i: CAS the exact stale
@@ -307,21 +392,20 @@ func (st *Stamps) Adopt(i int, epoch uint64) bool {
 // stamp moved — the holder refreshed, a claimant adopted, or another reaper
 // won — and the reclaim must be abandoned. Reaper-side; no process step.
 func (st *Stamps) BeginReclaim(i int, observed, epoch uint64) bool {
-	return st.words[i].CompareAndSwap(observed, PackStamp(HolderSuspect, epoch))
+	return st.cas(i, observed, PackStamp(HolderSuspect, epoch))
 }
 
 // FinishReclaim completes the two-phase reclaim: CAS the suspect mark
 // installed at epoch to a claimable tombstone. Reaper-side; no process
 // step.
 func (st *Stamps) FinishReclaim(i int, suspectEpoch, epoch uint64) bool {
-	return st.words[i].CompareAndSwap(
-		PackStamp(HolderSuspect, suspectEpoch), PackStamp(HolderTomb, epoch))
+	return st.cas(i, PackStamp(HolderSuspect, suspectEpoch), PackStamp(HolderTomb, epoch))
 }
 
 // Drop garbage-collects a residual stamp on a free name (e.g. a stale
 // tombstone): CAS the observed value to zero. Reaper-side; no process step.
 func (st *Stamps) Drop(i int, observed uint64) bool {
-	return st.words[i].CompareAndSwap(observed, 0)
+	return st.cas(i, observed, 0)
 }
 
 // Quarantine withdraws name i from circulation: CAS the exact stamp the
@@ -334,7 +418,7 @@ func (st *Stamps) Drop(i int, observed uint64) bool {
 // quarantine durable: on mmap-backed namespaces it survives process
 // generations in the stamp page itself. Scrubber-side; no process step.
 func (st *Stamps) Quarantine(i int, observed, epoch uint64) bool {
-	return st.words[i].CompareAndSwap(observed, PackStamp(HolderQuarantine, epoch))
+	return st.cas(i, observed, PackStamp(HolderQuarantine, epoch))
 }
 
 // Inject stores an arbitrary raw stamp value, bypassing every protocol
@@ -342,16 +426,19 @@ func (st *Stamps) Quarantine(i int, observed, epoch uint64) bool {
 // the integrity conformance law plant corrupt states with it — and, like
 // SetCrashHook, appears on no real path.
 func (st *Stamps) Inject(i int, v uint64) {
-	st.words[i].Store(v)
+	st.slot(i).Store(v)
 }
 
-// CountHolder returns the number of names currently stamped by holder
-// (diagnostics; no process step).
+// CountHolder returns the number of names currently stamped by client
+// holder (diagnostics; no process step). Absent pages hold none.
 func (st *Stamps) CountHolder(holder uint64) int {
 	c := 0
-	for i := range st.size {
-		if h, _ := UnpackStamp(st.words[i].Load()); h == holder {
-			c++
+	for i := 0; i < st.size; i += 64 {
+		pg := st.page(i)
+		for j := range pg {
+			if h, _ := UnpackStamp(pg[j].Load()); h == holder {
+				c++
+			}
 		}
 	}
 	return c
@@ -371,9 +458,13 @@ func (st *Stamps) maybeCrash(p *Proc, point CrashPoint, name int) {
 	}
 }
 
-// Reset clears every stamp. Only safe when no processes are running.
+// Reset clears every stamp, keeping installed pages. Only safe when no
+// processes are running.
 func (st *Stamps) Reset() {
-	for i := range st.words {
-		st.words[i].Store(0)
+	for i := 0; i < st.size; i += 64 {
+		pg := st.page(i)
+		for j := range pg {
+			pg[j].Store(0)
+		}
 	}
 }

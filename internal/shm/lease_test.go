@@ -131,6 +131,59 @@ func TestStampLifecycle(t *testing.T) {
 	}
 }
 
+// TestStampsAbsentPages pins stamp residency on first write. A fresh array
+// holds only its page table. An absent page reads as zero stamps, refuses
+// Refresh and ClearOwned at their usual one step, and fails every CAS that
+// expects a nonzero stamp without allocating. Publish, Adopt, Inject and
+// Quarantine each install exactly the page they write.
+func TestStampsAbsentPages(t *testing.T) {
+	const n = 200 // pages of 64, 64, 64 and 8 names
+	st := NewStamps("absent-pages", n)
+	p := NewProc(0, nil, nil, 0)
+	const table = 4 * 8
+	live := PackStamp(7, 1)
+	if st.Refresh(p, 70, 7, 2) || st.ClearOwned(p, 70, 7) {
+		t.Fatal("an absent page refreshed or cleared a lease")
+	}
+	if p.Steps() != 2 {
+		t.Fatalf("Refresh and ClearOwned on an absent page took %d steps, want 2", p.Steps())
+	}
+	if st.BeginReclaim(70, live, 2) || st.FinishReclaim(70, 1, 2) || st.Drop(70, live) || st.Quarantine(70, live, 2) {
+		t.Fatal("a CAS expecting a nonzero stamp succeeded on an absent page")
+	}
+	for i := range n {
+		if st.Load(i) != 0 || st.Resident(i) {
+			t.Fatalf("name %d: fresh stamp %#x, resident %v", i, st.Load(i), st.Resident(i))
+		}
+	}
+	if got := st.ResidentBytes(); got != table {
+		t.Fatalf("fresh array holds %d bytes, want its %d-byte page table", got, table)
+	}
+	installed := 0
+	for _, w := range []struct {
+		name  string
+		i     int
+		words int
+		write func(i int) bool
+	}{
+		{"Publish", 10, 64, func(i int) bool { return st.Publish(p, i, live) }},
+		{"Adopt", 70, 64, func(i int) bool { return st.Adopt(i, 1) }},
+		{"Inject", 130, 64, func(i int) bool { st.Inject(i, live); return true }},
+		{"Quarantine", 199, 8, func(i int) bool { return st.Quarantine(i, 0, 1) }},
+	} {
+		if !w.write(w.i) || st.Load(w.i) == 0 || !st.Resident(w.i) {
+			t.Fatalf("%s on an absent page: stamp %#x, resident %v", w.name, st.Load(w.i), st.Resident(w.i))
+		}
+		installed += w.words
+		if got, want := st.ResidentBytes(), int64(table+8*installed); got != want {
+			t.Fatalf("after %s: %d bytes, want %d", w.name, got, want)
+		}
+	}
+	if got := st.CountHolder(7); got != 2 {
+		t.Fatalf("CountHolder(7) = %d, want 2", got)
+	}
+}
+
 // TestStampReclaimLosesToRefresh pins the no-lost-name guarantee: a holder
 // that heartbeats between the sweep's observation and its reclaim CAS keeps
 // the name.

@@ -269,12 +269,21 @@ const wordsPerLine = 8
 // exactly one operation is in flight at a time. For native runs on real
 // cores, NewNameSpacePadded spreads the words one per cache line to avoid
 // false sharing between adjacent names.
+//
+// The bitmap is resident on first claim: construction allocates only the
+// saturation hints, and the first claim-side write (a TryClaim, a word or
+// range claim, a seize) installs the words. Reads never allocate: Claimed,
+// Probe, CountClaimed and the hints see a never-claimed space as all free,
+// so a level ladder pays bitmap memory only for the levels its holders
+// reach. Backed spaces are resident from construction.
 type NameSpace struct {
 	label  string
 	id     SpaceID
 	size   int
 	stride int // slots between occupied words: 1 packed, wordsPerLine padded
-	words  []atomic.Uint64
+	// words is the bitmap, nil until the first claim-side write installs it
+	// (see resident).
+	words atomic.Pointer[[]atomic.Uint64]
 	// sat is the word-saturation summary (one bit per bitmap word, set when
 	// a word-granular claim observed the word full, cleared by releases).
 	// It is a probe-redirection hint, never a correctness input; see claim.go.
@@ -310,38 +319,29 @@ func newNameSpace(label string, m, stride int) *NameSpace {
 	if m < 0 {
 		panic("shm: negative name space size")
 	}
-	nwords := (m + 63) / 64
 	return &NameSpace{
 		label:  label,
 		id:     InternSpace(label),
 		size:   m,
 		stride: stride,
-		words:  make([]atomic.Uint64, nwords*stride),
-		sat:    NewHintBits(nwords),
+		sat:    NewHintBits((m + 63) / 64),
 	}
 }
 
 // NewNameSpaceBacked returns a packed name space of m names on externally
 // owned word storage (e.g. a region of an mmap'd file). The backing slice
 // is used in place, bits and all — opening an existing file preserves its
-// claims — so it must hold at least ⌈m/64⌉ words. Saturation hints are
-// process-local (rebuilt lazily by claims), never persisted.
+// claims — so it must hold at least ⌈m/64⌉ words, and the space is
+// resident from construction. Saturation hints are process-local (rebuilt
+// lazily by claims), never persisted.
 func NewNameSpaceBacked(label string, m int, words []atomic.Uint64) *NameSpace {
-	if m < 0 {
-		panic("shm: negative name space size")
-	}
-	nwords := (m + 63) / 64
-	if len(words) < nwords {
+	s := newNameSpace(label, m, 1)
+	if len(words) < s.Words() {
 		panic(fmt.Sprintf("shm: backing of %d words cannot hold %d names", len(words), m))
 	}
-	return &NameSpace{
-		label:  label,
-		id:     InternSpace(label),
-		size:   m,
-		stride: 1,
-		words:  words[:nwords],
-		sat:    NewHintBits(nwords),
-	}
+	words = words[:s.Words()]
+	s.words.Store(&words)
+	return s
 }
 
 // AttachStamps wires the crash-recovery lease-stamp array to this space:
@@ -368,20 +368,67 @@ func (s *NameSpace) ID() SpaceID { return s.id }
 // Size returns the number of names.
 func (s *NameSpace) Size() int { return s.size }
 
-// word returns the bitmap word holding name i and i's mask within it.
-func (s *NameSpace) word(i int) (*atomic.Uint64, uint64) {
+// bit returns the bitmap slot of the word holding name i and i's mask
+// within that word.
+func (s *NameSpace) bit(i int) (int, uint64) {
 	if uint(i) >= uint(s.size) {
 		panic(fmt.Sprintf("shm: name %d outside space %q of %d", i, s.label, s.size))
 	}
-	return &s.words[(i>>6)*s.stride], uint64(1) << (uint(i) & 63)
+	return (i >> 6) * s.stride, uint64(1) << (uint(i) & 63)
+}
+
+// bitmap returns the bitmap words, or nil while no claim has written the
+// space. Read paths use it, so they never allocate.
+func (s *NameSpace) bitmap() []atomic.Uint64 {
+	if ws := s.words.Load(); ws != nil {
+		return *ws
+	}
+	return nil
+}
+
+// resident returns the bitmap words, installing them on the first
+// claim-side write.
+func (s *NameSpace) resident() []atomic.Uint64 {
+	if ws := s.words.Load(); ws != nil {
+		return *ws
+	}
+	return s.install()
+}
+
+// install allocates the bitmap and publishes it with one CAS. First claims
+// racing here each allocate, but one CAS wins and the losers adopt its
+// words before touching a bit, so no claim lands in a discarded bitmap.
+func (s *NameSpace) install() []atomic.Uint64 {
+	fresh := make([]atomic.Uint64, s.Words()*s.stride)
+	if s.words.CompareAndSwap(nil, &fresh) {
+		return fresh
+	}
+	return *s.words.Load()
+}
+
+// load reads bitmap slot at; an absent bitmap reads as all free.
+func (s *NameSpace) load(at int) uint64 {
+	if ws := s.bitmap(); ws != nil {
+		return ws[at].Load()
+	}
+	return 0
+}
+
+// clear drops mask from bitmap slot at; an absent bitmap has no bit to
+// clear.
+func (s *NameSpace) clear(at int, mask uint64) {
+	if ws := s.bitmap(); ws != nil {
+		ws[at].And(^mask)
+	}
 }
 
 // TryClaim test-and-sets name i: CAS on the containing bitmap word. One
 // step. Losing the CAS to a concurrent claim of a *different* name in the
 // same word retries; losing bit i itself returns false.
 func (s *NameSpace) TryClaim(p *Proc, i int) bool {
-	w, mask := s.word(i)
+	at, mask := s.bit(i)
 	p.Step(Op{Kind: OpTAS, Space: s.id, Index: int32(i)})
+	w := &s.resident()[at]
 	for {
 		cur := w.Load()
 		if cur&mask != 0 {
@@ -395,9 +442,9 @@ func (s *NameSpace) TryClaim(p *Proc, i int) bool {
 
 // Claimed reads whether name i is taken. One step.
 func (s *NameSpace) Claimed(p *Proc, i int) bool {
-	w, mask := s.word(i)
+	at, mask := s.bit(i)
 	p.Step(Op{Kind: OpRead, Space: s.id, Index: int32(i)})
-	return w.Load()&mask != 0
+	return s.load(at)&mask != 0
 }
 
 // Free clears name i — the release half of long-lived renaming. One step.
@@ -405,34 +452,37 @@ func (s *NameSpace) Claimed(p *Proc, i int) bool {
 // a no-op (the atomic clear of an unset bit changes nothing). The cleared
 // name is immediately reacquirable by any process.
 func (s *NameSpace) Free(p *Proc, i int) {
-	w, mask := s.word(i)
+	at, mask := s.bit(i)
 	p.Step(Op{Kind: OpClear, Space: s.id, Index: int32(i)})
-	w.And(^mask)
+	s.clear(at, mask)
 	s.sat.Clear(i >> 6)
 }
 
 // Probe reports whether name i is taken without spending a process step.
 // It serves the adversary (Probeable) and post-run verification.
 func (s *NameSpace) Probe(i int) bool {
-	w, mask := s.word(i)
-	return w.Load()&mask != 0
+	at, mask := s.bit(i)
+	return s.load(at)&mask != 0
 }
 
 // CountClaimed returns the number of taken names: one popcount per bitmap
 // word. Not a process step; used by metrics and tests after (or between)
 // runs.
 func (s *NameSpace) CountClaimed() int {
+	ws := s.bitmap()
 	c := 0
-	for i := 0; i < len(s.words); i += s.stride {
-		c += bits.OnesCount64(s.words[i].Load())
+	for i := 0; i < len(ws); i += s.stride {
+		c += bits.OnesCount64(ws[i].Load())
 	}
 	return c
 }
 
-// Reset frees every name. Only safe when no processes are running.
+// Reset frees every name, keeping any installed bitmap. Only safe when no
+// processes are running.
 func (s *NameSpace) Reset() {
-	for i := 0; i < len(s.words); i += s.stride {
-		s.words[i].Store(0)
+	ws := s.bitmap()
+	for i := 0; i < len(ws); i += s.stride {
+		ws[i].Store(0)
 	}
 	s.sat.Reset()
 }
