@@ -107,12 +107,16 @@ type ArenaConfig struct {
 	// LeaseBlocks enables per-worker word-block lease caches: workers
 	// lease blocks of LeaseBlocks names (at most 64 — one bitmap word,
 	// claimed in a single word-granular batch step) and then serve Acquire
-	// and absorb Release thread-locally, with zero shared-memory
-	// operations on the fast path. Released names recirculate through the
-	// releasing worker's cache, so steady-state churn stops touching the
-	// backend entirely — the regime BENCH_5.json records. The trade-off is
-	// name tightness: cached names are claimed but serve nobody, so
-	// provision Capacity above the expected peak holders (see PERF.md).
+	// and absorb Release from a per-worker stack, with no step-counted
+	// shared-memory operation on the fast path (a hit still takes the
+	// worker's mutex and flips the name's parked bit). Blocks are leased
+	// first-fit — the lowest free words of the lowest stripe with room —
+	// so parked blocks sit at the bottom of the name space. Released names
+	// recirculate through the releasing worker's cache, so steady-state
+	// churn stops touching the backend entirely — the regime BENCH_5.json
+	// records. The trade-off is name tightness: cached names are claimed
+	// but serve nobody, so provision Capacity above the expected peak
+	// holders (see PERF.md).
 	// Caching composes with Lease — a cached block is one lease, renewed
 	// by Heartbeat and reclaimed wholesale if this handle crashes. 0 (the
 	// default) disables caching; enabling it requires the word-granular
@@ -814,7 +818,10 @@ func (a *Arena) Acquire() (int, error) {
 		return -1, fmt.Errorf("%w: capacity %d", ErrArenaFull, a.impl.Capacity())
 	}
 	a.acquires.add(lane, 1)
-	a.acquireSteps.add(lane, steps)
+	if steps != 0 {
+		// A cache hit takes no step: skip its locked add.
+		a.acquireSteps.add(lane, steps)
+	}
 	return name, nil
 }
 
@@ -849,7 +856,9 @@ func (a *Arena) AcquireN(k int) ([]int, error) {
 	}
 	a.procs.Put(p)
 	a.acquires.add(lane, int64(k))
-	a.acquireSteps.add(lane, steps)
+	if steps != 0 {
+		a.acquireSteps.add(lane, steps)
+	}
 	return names, nil
 }
 

@@ -3,6 +3,7 @@ package shmrename
 import (
 	"errors"
 	"fmt"
+	"runtime"
 	"sync"
 	"testing"
 	"time"
@@ -236,5 +237,66 @@ func TestLeaseBlocksConcurrentStorm(t *testing.T) {
 	}
 	if got := a.Held(); got != 0 {
 		t.Fatalf("%d names leaked", got)
+	}
+}
+
+// TestLeaseBlocksFirstFit: block leases are first-fit, so a two-stripe
+// cached arena churning at 25% occupancy from GOMAXPROCS goroutines keeps
+// every issued name — holders and parked blocks alike fit there — in the
+// lower stripe, whatever stripe each pooled proc calls home.
+func TestLeaseBlocksFirstFit(t *testing.T) {
+	const capacity = 4096
+	a, err := NewArena(ArenaConfig{
+		Capacity:    capacity,
+		Backend:     ArenaBackendSharded,
+		Shards:      2,
+		LeaseBlocks: 64,
+		Seed:        5,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer a.Close()
+	workers := runtime.GOMAXPROCS(0)
+	per := capacity / 4 / workers
+	limit := a.NameBound() / 2
+	var wg sync.WaitGroup
+	errs := make(chan error, workers)
+	for g := 0; g < workers; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			held := make([]int, 0, per)
+			for i := 0; i < 20*per; i++ {
+				if len(held) == per {
+					if err := a.Release(held[0]); err != nil {
+						errs <- err
+						return
+					}
+					held = held[1:]
+				}
+				n, err := a.Acquire()
+				if err != nil {
+					errs <- err
+					return
+				}
+				if n >= limit {
+					errs <- fmt.Errorf("issued name %d at or above NameBound/2 = %d", n, limit)
+					return
+				}
+				held = append(held, n)
+			}
+			for _, n := range held {
+				if err := a.Release(n); err != nil {
+					errs <- err
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		t.Fatal(err)
 	}
 }

@@ -120,9 +120,10 @@
 // The claim engine makes one shared-memory step buy 64 names; for
 // latency-sensitive services ArenaConfig.LeaseBlocks goes one further
 // and makes most acquires buy zero. Each worker slot leases whole
-// 64-name blocks from the shared bitmap (one ClaimMask per block) and
-// serves Acquire and Release from a thread-local free list, so the fast
-// path touches no shared memory at all:
+// 64-name blocks from the shared bitmap (one ClaimUpTo step per block,
+// first-fit from the lowest free words) and serves Acquire and Release
+// from a per-worker free list, so the fast path takes no step-counted
+// shared-memory operation:
 //
 //	arena, err := shmrename.NewArena(shmrename.ArenaConfig{
 //		Capacity:    4096, // provision well above peak holders
@@ -134,8 +135,10 @@
 // steals from sibling slots before falling through to the shared path,
 // so conservation holds exactly: every name is free, parked in exactly
 // one cache, or granted to exactly one holder. The cost is name
-// tightness — the NameBound envelope widens by the cached-block
-// headroom — which is why the cache suits provisioned arenas (capacity
+// tightness — parked blocks are claimed but serve nobody, so issued
+// names reach past the live holders by the cached-block headroom; the
+// first-fit leases keep that headroom at the bottom of the name space —
+// which is why the cache suits provisioned arenas (capacity
 // comfortably above peak holders) rather than tight ones. It composes
 // with crash recovery: a cached block is one lease, Heartbeat renews
 // parked names along with granted ones, and the recovery sweep reclaims

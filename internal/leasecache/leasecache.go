@@ -1,8 +1,9 @@
 // Package leasecache puts per-worker word-block lease caches in front of a
 // long-lived renaming arena: workers lease blocks of up to 64 names in one
-// word-granular batch claim (shm.ClaimMask via the backend's AcquireN) and
-// then serve Acquire and absorb Release thread-locally, with zero
-// step-counted shared-memory operations on the fast path.
+// word-granular batch claim (shm.ClaimUpTo via the backend's first-fit
+// AcquireBlock, or its AcquireN where it has none) and then serve Acquire
+// and absorb Release thread-locally, with zero step-counted shared-memory
+// operations on the fast path.
 //
 // # Why a cache layer
 //
@@ -32,13 +33,20 @@
 // "Space Bounds for Adaptive Renaming" (arXiv:1603.04067) for the sharded
 // frontend: cached names are claimed but serve nobody, so the arena must
 // be provisioned with slack (capacity ≳ peak holders + Slots×MaxCached for
-// pressure-free operation). When provisioning is tight the layer degrades
-// instead of starving: an acquirer that finds the inner arena full first
-// steals from other workers' stacks, and then opens a pressure window that
-// makes the next Block releases bypass the cache and return names straight
-// to the inner pool. Release-side pressure is bounded the same way: a
-// stack at MaxCached spills a whole block back through one coalesced
-// ReleaseN.
+// pressure-free operation). The trade is bounded by where blocks come
+// from: refills (and the direct fallback) lease first-fit through
+// registry.BlockAcquirer — the lowest free words of the lowest stripe with
+// room — rather than through AcquireN's home-stripe, random-word
+// placement. Refills are rare, so they can afford the lowest names, and
+// the largest issued name then tracks holders plus parked blocks instead
+// of the stripe a worker's proc happens to call home.
+//
+// When provisioning is tight the layer degrades instead of starving: an
+// acquirer that finds the inner arena full first steals from other
+// workers' stacks, and then opens a pressure window that makes the next
+// Block releases bypass the cache and return names straight to the inner
+// pool. Release-side pressure is bounded the same way: a stack at
+// MaxCached spills a whole block back through one coalesced ReleaseN.
 //
 // # Crash recovery
 //
@@ -120,6 +128,10 @@ type Cache struct {
 	// cache refuses to park draining names and sheds any it finds on its
 	// stacks; nil for fixed backends.
 	drain registry.Drainer
+	// block is the inner arena's first-fit block lease when it has one:
+	// refills take the lowest free names through it instead of AcquireN's
+	// randomized placement. Nil for inner arenas without the method.
+	block registry.BlockAcquirer
 	// Slow-path event counters (never touched on the fast path).
 	refills atomic.Int64
 	spills  atomic.Int64
@@ -151,6 +163,7 @@ func New(inner longlived.Arena, cfg Config) *Cache {
 		cached: make([]atomic.Uint64, (inner.NameBound()+63)/64),
 	}
 	c.drain, _ = inner.(registry.Drainer)
+	c.block, _ = inner.(registry.BlockAcquirer)
 	return c
 }
 
@@ -237,7 +250,7 @@ func (c *Cache) slotFor(p *shm.Proc) *slot {
 // Acquire implements longlived.Arena. Fast path: pop the worker slot's
 // stack — no step-counted shared-memory operation, no inner-arena work.
 // Slow paths, in order: lease a fresh block from the inner arena (one
-// word-granular batch claim), steal from another worker's stack, and
+// first-fit word-granular sweep), steal from another worker's stack, and
 // finally a direct inner acquire; a starved acquire opens the pressure
 // window before reporting the arena full.
 func (c *Cache) Acquire(p *shm.Proc) int {
@@ -270,7 +283,7 @@ func (c *Cache) Acquire(p *shm.Proc) int {
 	if name := c.steal(p); name >= 0 {
 		return name
 	}
-	if name := c.inner.Acquire(p); name >= 0 {
+	if name := c.direct(p); name >= 0 {
 		return name
 	}
 	// Starved while caches may be hoarding: last-chance steal, then make
@@ -284,22 +297,52 @@ func (c *Cache) Acquire(p *shm.Proc) int {
 
 // refill leases one block from the inner arena into the (locked, empty)
 // slot, returning one name of it or -1 when the inner arena served none.
+// A first-fit AcquireBlock is one bounded sweep, so it runs under the slot
+// mutex. AcquireN can spin until names free up (MaxPasses 0), and a proc
+// unwound mid-spin by its step limit must not leave the slot locked for
+// Flush to block on, so the mutex is dropped around that call; names
+// other procs park meanwhile stay below the fresh block.
 func (c *Cache) refill(p *shm.Proc, s *slot) int {
-	got := c.inner.AcquireN(p, c.cfg.Block, s.names[:0])
-	if len(got) == 0 {
+	pre := len(s.names)
+	var got []int
+	if c.block != nil {
+		got = c.block.AcquireBlock(p, c.cfg.Block, s.names)
+	} else {
+		s.mu.Unlock()
+		fresh := c.inner.AcquireN(p, c.cfg.Block, nil)
+		s.mu.Lock()
+		pre = len(s.names)
+		got = append(s.names, fresh...)
+	}
+	if len(got) == pre {
 		s.names = got
 		return -1
 	}
 	name := got[len(got)-1]
 	s.names = got[:len(got)-1]
-	if n := c.park(s.names); n < len(s.names) {
+	if n := c.park(s.names[pre:]); pre+n < len(s.names) {
 		// Cache failed mid-refill: the unparked tail goes straight back
 		// to the inner pool, the parked prefix stays parked.
-		c.inner.ReleaseN(p, s.names[n:])
-		s.names = s.names[:n]
+		c.inner.ReleaseN(p, s.names[pre+n:])
+		s.names = s.names[:pre+n]
 	}
 	c.refills.Add(1)
 	return name
+}
+
+// direct takes one name straight from the inner arena for an acquire its
+// worker slot could not serve (slot contended or refill short, nothing to
+// steal): first-fit like a refill when the inner arena offers it, so slot
+// contention does not scatter names into other stripes, then the inner
+// Acquire, whose bounded passes are the termination guarantee.
+func (c *Cache) direct(p *shm.Proc) int {
+	if c.block != nil {
+		var one [1]int
+		if got := c.block.AcquireBlock(p, 1, one[:0]); len(got) == 1 {
+			return got[0]
+		}
+	}
+	return c.inner.Acquire(p)
 }
 
 // park marks a freshly leased block parked and returns how many of its

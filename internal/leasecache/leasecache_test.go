@@ -324,9 +324,11 @@ func TestHeartbeatCoversParkedNames(t *testing.T) {
 // TestGoldenGrantSequence pins the deterministic grant order of a
 // single-proc churn through the cache (fixed seed, fixed config). The
 // fingerprint changing means the cache's serving order changed — which
-// would invalidate the recorded BENCH_5 latency distribution shape.
+// would invalidate the recorded BENCH_5 latency distribution shape. Proc
+// 3's home stripe is 1, yet refills lease first-fit, so every grant must
+// also lie in stripe 0.
 func TestGoldenGrantSequence(t *testing.T) {
-	c, _ := newSharded(128, 2, Config{Block: 16, Slots: 2})
+	c, inner := newSharded(128, 2, Config{Block: 16, Slots: 2})
 	p := proc(3)
 	h := fnv.New64a()
 	held := make([]int, 0, 32)
@@ -335,6 +337,9 @@ func TestGoldenGrantSequence(t *testing.T) {
 			n := c.Acquire(p)
 			if n < 0 {
 				t.Fatalf("cycle %d: acquire failed", cyc)
+			}
+			if n >= inner.ShardBase(1) {
+				t.Fatalf("cycle %d: granted %d, outside stripe 0 [0, %d)", cyc, n, inner.ShardBase(1))
 			}
 			fmt.Fprintf(h, "a%d.", n)
 			held = append(held, n)
@@ -346,7 +351,7 @@ func TestGoldenGrantSequence(t *testing.T) {
 			c.Release(p, n)
 		}
 	}
-	const want = "c225ceb22baaadb5"
+	const want = "3c2bde8b73c2a109"
 	if got := fmt.Sprintf("%016x", h.Sum64()); got != want {
 		t.Fatalf("grant-sequence fingerprint %s, want %s", got, want)
 	}

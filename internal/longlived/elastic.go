@@ -8,6 +8,7 @@ import (
 	"sort"
 	"sync/atomic"
 
+	"shmrename/internal/registry"
 	"shmrename/internal/shm"
 )
 
@@ -182,6 +183,7 @@ func (c *ElasticConfig) fill() {
 
 var _ Arena = (*ElasticArena)(nil)
 var _ Recoverable = (*ElasticArena)(nil)
+var _ registry.BlockAcquirer = (*ElasticArena)(nil)
 
 // NewElastic builds an elastic level arena whose ladder can grow to serve
 // capacity concurrent holders and drains back toward cfg.MinCapacity when
@@ -779,6 +781,31 @@ func (a *ElasticArena) AcquireN(p *shm.Proc, k int, out []int) []int {
 				continue
 			}
 			pass++
+		}
+	}
+	return out
+}
+
+// AcquireBlock implements registry.BlockAcquirer: one first-fit sweep up
+// the active ladder from level 0, claiming up to k of the lowest free names
+// with one ClaimUpTo step per word that has room. Non-active levels and
+// levels and words hinted full are skipped at no step cost. Each won mask
+// is revalidated as one unit and runs the grow trigger (grantMask), as in
+// AcquireN; a short sweep neither retries nor grows the ladder on its own —
+// the caller's Acquire fallback does.
+func (a *ElasticArena) AcquireBlock(p *shm.Proc, k int, out []int) []int {
+	stamp := a.leaseStamp(p)
+	act := a.activeLevels()
+	for li := 0; k > 0 && li < act; li++ {
+		lvl := a.levels[li].Load()
+		if lvl == nil || lvl.state.Load() != elActive || lvl.space.Saturated() {
+			continue
+		}
+		for w := 0; k > 0 && w < lvl.space.Words(); w++ {
+			if lvl.space.WordSaturated(w) {
+				continue
+			}
+			out, k = a.grantMask(p, lvl, w, claimUpTo(p, lvl.space, w, k, stamp), out, k)
 		}
 	}
 	return out

@@ -5,6 +5,7 @@ import (
 	"math/bits"
 	"sort"
 
+	"shmrename/internal/registry"
 	"shmrename/internal/shm"
 )
 
@@ -81,6 +82,7 @@ type LevelArena struct {
 
 var _ Arena = (*LevelArena)(nil)
 var _ Recoverable = (*LevelArena)(nil)
+var _ registry.BlockAcquirer = (*LevelArena)(nil)
 
 // NewLevel builds a level arena guaranteeing capacity concurrent holders.
 func NewLevel(capacity int, cfg LevelConfig) *LevelArena {
@@ -300,6 +302,30 @@ func (a *LevelArena) AcquireN(p *shm.Proc, k int, out []int) []int {
 		lvl := a.levels[backstop]
 		for w := 0; k > 0 && w < lvl.Words(); w++ {
 			out, k = appendMask(out, a.base[backstop]+w<<6, a.claimUpTo(p, lvl, w, k, stamp), k)
+		}
+	}
+	return out
+}
+
+// AcquireBlock implements registry.BlockAcquirer: one first-fit sweep up
+// the ladder, claiming up to k of the lowest free names with one ClaimUpTo
+// step per word that has room. Levels and words hinted full are skipped at
+// no step cost, and nothing is retried, so the sweep is bounded by the
+// ladder's word count and may come back short. It runs the word claim
+// engine whatever WordScan selects for Acquire: a block is whole bitmap
+// words by construction.
+func (a *LevelArena) AcquireBlock(p *shm.Proc, k int, out []int) []int {
+	stamp := a.leaseStamp(p)
+	for li := 0; k > 0 && li < len(a.levels); li++ {
+		lvl := a.levels[li]
+		if lvl.Saturated() {
+			continue
+		}
+		for w := 0; k > 0 && w < lvl.Words(); w++ {
+			if lvl.WordSaturated(w) {
+				continue
+			}
+			out, k = appendMask(out, a.base[li]+w<<6, a.claimUpTo(p, lvl, w, k, stamp), k)
 		}
 	}
 	return out

@@ -87,6 +87,21 @@ type Elastic interface {
 	Shrink() bool
 }
 
+// BlockAcquirer is the optional interface of arenas that can lease a block
+// of names first-fit. Caching layers refill through it: refills are rare,
+// so unlike client acquires — whose placement is randomized to spread
+// contention — they can afford the lowest free names, which keeps parked
+// blocks and the holders they serve at the bottom of the name space.
+type BlockAcquirer interface {
+	// AcquireBlock claims up to k names unique among current holders with
+	// one bounded first-fit sweep — lowest stripe, level and word with room
+	// first, skipping stripes, levels and words hinted full at no step cost
+	// — and appends them to out. It never retries: it may return fewer than
+	// k names, or none, while free names remain (a stale hint, a lost race),
+	// so callers fall back to Acquire for the termination guarantee.
+	AcquireBlock(p *shm.Proc, k int, out []int) []int
+}
+
 // Footprint is the optional interface of arenas that can report their
 // shared-state storage — bitmap words, saturation hints, and lease stamps
 // — allocated so far. Name spaces and stamp pages become resident on first

@@ -31,8 +31,9 @@
 //
 // For provisioned arenas, the word-block lease cache (package leasecache)
 // layers above this frontend and removes even the home-shard CAS from the
-// common case: whole 64-name blocks are leased through the shard protocol
-// once, then served thread-locally with zero shared-memory operations.
+// common case: whole 64-name blocks are leased once (first-fit, through
+// AcquireBlock), then served thread-locally with zero step-counted
+// shared-memory operations.
 //
 // Release locates the owning shard from the name alone (shards own disjoint
 // contiguous name ranges) and also re-targets the releaser's affinity at
@@ -50,7 +51,13 @@
 // subBound(s) < 4·⌈capacity/S⌉, so the global bound stays below
 // 4·capacity + 4·S; low per-shard occupancy still concentrates names at
 // the bottom of each shard's range, so the largest issued name tracks
-// occupancy per stripe rather than globally.
+// occupancy per stripe rather than globally. A single name taken from the
+// wrong stripe — a proc whose home is stripe 1 — puts the largest name
+// past ShardBase(1) however empty the arena is. AcquireBlock, the
+// first-fit sweep caching layers refill through, closes that gap for
+// block leases: it walks the stripes in index order, so parked blocks fill
+// stripe 0 before stripe 1 sees one. Acquire and AcquireN keep home-stripe
+// routing, which spreads client contention across stripes.
 //
 // Both execution modes are supported: every operation flows through
 // *shm.Proc exactly as in the sub-arenas, so the deterministic adversarial
@@ -179,6 +186,7 @@ type Arena struct {
 
 var _ longlived.Arena = (*Arena)(nil)
 var _ longlived.Recoverable = (*Arena)(nil)
+var _ registry.BlockAcquirer = (*Arena)(nil)
 
 // New builds a sharded arena guaranteeing capacity concurrent holders
 // across all stripes.
@@ -469,6 +477,37 @@ func (a *Arena) AcquireN(p *shm.Proc, k int, out []int) []int {
 			}
 			out, k = a.acquireBatch(p, v, k, out)
 		}
+	}
+	return out
+}
+
+// AcquireBlock implements registry.BlockAcquirer: one first-fit sweep over
+// the stripes in index order, skipping stripes hinted full, so blocks land
+// in the lowest stripe with room whatever the caller's home stripe. Each
+// stripe runs its own first-fit AcquireBlock; a stripe without one gets a
+// single AcquireN, bounded because sub-arenas are built with MaxPasses 1.
+// A stripe that comes back short is hinted full, as in acquireBatch. The
+// caller's affinity is left alone: AcquireN and Acquire keep their home
+// stripe routing.
+func (a *Arena) AcquireBlock(p *shm.Proc, k int, out []int) []int {
+	for s := 0; k > 0 && s < len(a.shards); s++ {
+		if a.ShardOccupied(s) {
+			continue
+		}
+		pre := len(out)
+		if b, ok := a.shards[s].(registry.BlockAcquirer); ok {
+			out = b.AcquireBlock(p, k, out)
+		} else {
+			out = a.shards[s].AcquireN(p, k, out)
+		}
+		for i := pre; i < len(out); i++ {
+			out[i] += a.base[s]
+		}
+		got := len(out) - pre
+		if got < k {
+			a.occupied.Set(s)
+		}
+		k -= got
 	}
 	return out
 }

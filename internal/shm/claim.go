@@ -19,12 +19,12 @@ package shm
 // amortized across up to 64 zero-step fast-path acquires.
 //
 // Saturation hints: every NameSpace additionally maintains a summary bitmap
-// (one bit per bitmap word, set when a claim op observed the word full,
-// cleared by every release touching the word). Reading the summary costs no
-// process step — like the adversary's Probe it is a performance hint, never
-// a correctness input: hints can go stale when a release races a claim, so
-// callers may use them to redirect random probes but deterministic fallback
-// scans must consult the words themselves.
+// (one bit per bitmap word, set when a claim op observed the word full or
+// its own CAS filled it, cleared by every release touching the word).
+// Reading the summary costs no process step — like the adversary's Probe it
+// is a performance hint, never a correctness input: hints can go stale when
+// a release races a claim, so callers may use them to redirect random probes
+// but deterministic fallback scans must consult the words themselves.
 
 import (
 	"fmt"
@@ -180,7 +180,10 @@ func lowestBits(m uint64, k int) uint64 {
 // claimLowest is the shared CAS loop of the word claim ops: one process
 // step, then claim the up-to-k lowest free bits of word w that lie in mask.
 // It returns the claimed bits (0 when no masked bit was free) and marks the
-// saturation hint when the whole word was observed full.
+// saturation hint when the word is full: observed full, or filled by this
+// claim's own CAS. Setting it on the filling claim means churn never pays
+// a failed step to rediscover a full word, and first-fit sweeps skip
+// freshly leased blocks at no step cost.
 func (s *NameSpace) claimLowest(p *Proc, w int, mask uint64, k int) uint64 {
 	at, valid := s.wordSlot(w)
 	mask &= valid
@@ -197,6 +200,9 @@ func (s *NameSpace) claimLowest(p *Proc, w int, mask uint64, k int) uint64 {
 		}
 		pick := lowestBits(free, k)
 		if ptr.CompareAndSwap(cur, cur|pick) {
+			if ^(cur|pick)&valid == 0 {
+				s.sat.Set(w)
+			}
 			return pick
 		}
 	}

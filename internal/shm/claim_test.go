@@ -46,6 +46,39 @@ func TestClaimFirstFreeOneStepPerClaim(t *testing.T) {
 	}
 }
 
+// TestClaimThatFillsWordSetsHint: the claim that takes a word's last free
+// bit sets the word's saturation hint itself, for every claim op and for a
+// partial last word, and a release of any of its names clears it again.
+func TestClaimThatFillsWordSetsHint(t *testing.T) {
+	s := NewNameSpace("t-fillhint", 130) // two full words + one 2-bit partial
+	p := claimProc(0)
+	if got := s.ClaimUpTo(p, 0, 63); bits.OnesCount64(got) != 63 || s.WordSaturated(0) {
+		t.Fatalf("claimed %d of word 0, hint %v; want 63 names and no hint", bits.OnesCount64(got), s.WordSaturated(0))
+	}
+	if got := s.ClaimFirstFree(p, 0); got != 63 || !s.WordSaturated(0) {
+		t.Fatalf("last-bit claim got %d, hint %v; want 63 and the hint set", got, s.WordSaturated(0))
+	}
+	if got := s.ClaimMask(p, 1, ^uint64(0)); got != ^uint64(0) || !s.WordSaturated(1) {
+		t.Fatalf("whole-word mask claim won %x, hint %v", got, s.WordSaturated(1))
+	}
+	if got := s.ClaimUpTo(p, 2, 64); got != 3 || !s.WordSaturated(2) {
+		t.Fatalf("partial word claim won %x, hint %v; want 0x3 and the hint set", got, s.WordSaturated(2))
+	}
+	if !s.Saturated() {
+		t.Fatal("every word filled, but the space is not hinted saturated")
+	}
+	steps := p.Steps()
+	for w := 0; w < s.Words(); w++ {
+		s.Free(p, w<<6+1)
+		if s.WordSaturated(w) {
+			t.Fatalf("word %d still hinted full after a release", w)
+		}
+	}
+	if got := p.Steps() - steps; got != int64(s.Words()) {
+		t.Fatalf("releases cost %d steps, want %d", got, s.Words())
+	}
+}
+
 // TestHintBitsFull pins the level-granular summary: Full holds exactly when
 // every tracked bit is set, whatever the last word's fill, and one Clear
 // (or a Reset) reopens it. Bits beyond n never count.

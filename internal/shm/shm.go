@@ -285,7 +285,8 @@ type NameSpace struct {
 	// (see resident).
 	words atomic.Pointer[[]atomic.Uint64]
 	// sat is the word-saturation summary (one bit per bitmap word, set when
-	// a word-granular claim observed the word full, cleared by releases).
+	// a word-granular claim observed the word full or filled it, cleared by
+	// releases).
 	// It is a probe-redirection hint, never a correctness input; see claim.go.
 	sat *HintBits
 	// stamps, when attached, is the per-name lease-stamp array of the
