@@ -29,7 +29,8 @@ const (
 	// ArenaLevel is the LevelArray-style arena: levels of geometrically
 	// growing packed TAS bitmaps, random probes falling through to a
 	// deterministic backstop scan. Issued names track the instantaneous
-	// occupancy. The default.
+	// occupancy; with ProbeWord, probes draw among each level's lowest open
+	// words, so they stay within a few words of it. The default.
 	ArenaLevel ArenaBackend = "level-array"
 	// ArenaTau is the long-lived adaptation of the paper's τ-register
 	// algorithm: counting devices front blocks of names, and releases
@@ -62,10 +63,11 @@ const (
 	// ProbeAuto selects the default for the execution surface: the public
 	// arena runs natively, so it gets the word-granular engine (ProbeWord).
 	ProbeAuto ProbeMode = ""
-	// ProbeWord is the word-granular claim engine: probes snapshot a whole
-	// 64-name bitmap word and claim a free bit in one CAS, fallback scans
-	// walk words instead of names, and batch acquires claim up to 64 names
-	// per shared-memory access. The default.
+	// ProbeWord is the word-granular claim engine: probes pick one of a
+	// level's lowest open 64-name bitmap words, snapshot it and claim a
+	// free bit in one CAS, fallback scans walk words instead of names, and
+	// batch acquires claim up to 64 names per shared-memory access. The
+	// default.
 	ProbeWord ProbeMode = "word"
 	// ProbeBit is the paper's per-bit probe path: every probe is a single
 	// TAS on one name. It matches the deterministic simulator's golden
@@ -86,7 +88,8 @@ type ArenaConfig struct {
 	// Capacity and Lease — the named-backend tuning knobs (Probes, Probe,
 	// Shards, StealProbes, LeaseBlocks) are config errors with them.
 	Backend ArenaBackend
-	// Probes tunes the per-level random probe count (ArenaLevel) or the
+	// Probes tunes the per-level random probe count (ArenaLevel, where a
+	// ProbeWord probe draws among the level's 4 lowest open words) or the
 	// random device-attempt count (ArenaTau). 0 selects the default.
 	Probes int
 	// Shards is the stripe count of the sharded backend: the arena is

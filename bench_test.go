@@ -556,21 +556,24 @@ func BenchmarkBatchAcquireRelease(b *testing.B) {
 	}
 }
 
-// BenchmarkArenaFill measures building an arena and filling it with 1000
-// holders from one goroutine: one iteration is NewArena plus 1000 Acquire
-// calls. The default level arena then probes its way past ever more
-// saturated low levels, so the cost per fill tracks how cheaply a probe
-// loop passes a level whose every word is hinted full. The sharded cell
-// (capacity 1200 over 2 shards) fills to 83% occupancy, where the shard
-// frontend and the backstop word scans join in.
+// BenchmarkArenaFill measures building an arena and filling it from one
+// goroutine: one iteration is NewArena plus one Acquire per holder, the
+// set-up each hold-time benchmark workload times. The default level arena
+// (1000 holders, `steady`) probes its way past ever more saturated low
+// levels, so the cost per fill tracks how cheaply a probe loop passes a
+// level whose every word is hinted full. The sharded cell (capacity 1200
+// over 2 shards, `tight`) fills to 83% occupancy, where the shard frontend
+// and the backstop word scans join in. The elastic cell (200 holders,
+// `diurnal`) grows its ladder during the fill.
 func BenchmarkArenaFill(b *testing.B) {
-	const holders = 1000
 	for _, c := range []struct {
-		name string
-		cfg  ArenaConfig
+		name    string
+		cfg     ArenaConfig
+		holders int
 	}{
-		{"level/cap=4096", ArenaConfig{Capacity: 4096, Seed: 1}},
-		{"sharded/cap=1200", ArenaConfig{Capacity: 1200, Backend: ArenaBackendSharded, Shards: 2, Seed: 1}},
+		{"level/cap=4096", ArenaConfig{Capacity: 4096, Seed: 1}, 1000},
+		{"sharded/cap=1200", ArenaConfig{Capacity: 1200, Backend: ArenaBackendSharded, Shards: 2, Seed: 1}, 1000},
+		{"elastic/cap=4096", ArenaConfig{Capacity: 4096, Backend: ArenaElastic, Seed: 1}, 200},
 	} {
 		b.Run(c.name, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
@@ -578,7 +581,7 @@ func BenchmarkArenaFill(b *testing.B) {
 				if err != nil {
 					b.Fatal(err)
 				}
-				for j := 0; j < holders; j++ {
+				for j := 0; j < c.holders; j++ {
 					if _, err := arena.Acquire(); err != nil {
 						b.Fatal(err)
 					}

@@ -136,7 +136,8 @@ type ElasticConfig struct {
 	// observations before a drain starts. Default 128.
 	ShrinkAfter int
 	// Probes is the number of random probes per active level before the
-	// deterministic backstop. Default 4.
+	// deterministic backstop; with WordScan each probe draws among the
+	// level's lowest open words (see LevelConfig.WordScan). Default 4.
 	Probes int
 	// Base is the size of the smallest level. Default 64.
 	Base int
@@ -617,16 +618,13 @@ func (a *ElasticArena) Acquire(p *shm.Proc) int {
 				continue
 			}
 			if a.cfg.WordScan {
-				// A level hinted saturated word by word would only spend
-				// draws on probes that skip at zero steps.
 				if lvl.space.Saturated() {
 					continue
 				}
-				words := lvl.space.Words()
 				for t := 0; t < a.cfg.Probes; t++ {
-					w := r.Intn(words)
-					if lvl.space.WordSaturated(w) {
-						continue
+					w := lvl.space.ProbeWord(r)
+					if w < 0 {
+						break
 					}
 					if i := claimWord(p, lvl.space, w, stamp); i >= 0 {
 						if name, ok := a.granted(p, lvl, i); ok {
@@ -757,11 +755,10 @@ func (a *ElasticArena) AcquireN(p *shm.Proc, k int, out []int) []int {
 			if lvl == nil || lvl.state.Load() != elActive || lvl.space.Saturated() {
 				continue
 			}
-			words := lvl.space.Words()
 			for t := 0; k > 0 && t < a.cfg.Probes; t++ {
-				w := r.Intn(words)
-				if lvl.space.WordSaturated(w) {
-					continue
+				w := lvl.space.ProbeWord(r)
+				if w < 0 {
+					break
 				}
 				out, k = a.grantMask(p, lvl, w, claimUpTo(p, lvl.space, w, k, stamp), out, k)
 			}
@@ -789,23 +786,24 @@ func (a *ElasticArena) AcquireN(p *shm.Proc, k int, out []int) []int {
 // AcquireBlock implements registry.BlockAcquirer: one first-fit sweep up
 // the active ladder from level 0, claiming up to k of the lowest free names
 // with one ClaimUpTo step per word that has room. Non-active levels and
-// levels and words hinted full are skipped at no step cost. Each won mask
-// is revalidated as one unit and runs the grow trigger (grantMask), as in
-// AcquireN; a short sweep neither retries nor grows the ladder on its own —
-// the caller's Acquire fallback does.
+// words hinted full are skipped at no step cost, the latter 64 at a time
+// (NameSpace.OpenWords). Each won mask is revalidated as one unit and runs
+// the grow trigger (grantMask), as in AcquireN; a short sweep neither
+// retries nor grows the ladder on its own — the caller's Acquire fallback
+// does.
 func (a *ElasticArena) AcquireBlock(p *shm.Proc, k int, out []int) []int {
 	stamp := a.leaseStamp(p)
 	act := a.activeLevels()
 	for li := 0; k > 0 && li < act; li++ {
 		lvl := a.levels[li].Load()
-		if lvl == nil || lvl.state.Load() != elActive || lvl.space.Saturated() {
+		if lvl == nil || lvl.state.Load() != elActive {
 			continue
 		}
-		for w := 0; k > 0 && w < lvl.space.Words(); w++ {
-			if lvl.space.WordSaturated(w) {
-				continue
+		for i := 0; k > 0 && i<<6 < lvl.space.Words(); i++ {
+			for open := lvl.space.OpenWords(i); k > 0 && open != 0; open &= open - 1 {
+				w := i<<6 + bits.TrailingZeros64(open)
+				out, k = a.grantMask(p, lvl, w, claimUpTo(p, lvl.space, w, k, stamp), out, k)
 			}
-			out, k = a.grantMask(p, lvl, w, claimUpTo(p, lvl.space, w, k, stamp), out, k)
 		}
 	}
 	return out

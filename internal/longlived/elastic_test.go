@@ -345,7 +345,8 @@ func TestElasticSkipsSaturatedLevels(t *testing.T) {
 	if _, _, cancels := a.Resizes(); cancels != 1 {
 		t.Fatalf("%d drain cancels, want 1", cancels)
 	}
-	// Level 2 has 4 words: Intn(4) takes exactly one draw, after the cancel.
+	// The cancel reopens level 2's 4 words: ProbeWord takes exactly one
+	// draw among them.
 	if d := draws(t, from, p); d != 1 {
 		t.Fatalf("acquire took %d draws, want 1", d)
 	}

@@ -24,11 +24,11 @@ type LevelConfig struct {
 	// WordScan enables the word-granular claim engine: probes target
 	// bitmap words instead of single bits (one snapshot-scan-CAS claims the
 	// first free name of 64 in one step), the backstop scans words instead
-	// of names, saturation hints redirect probes away from words observed
-	// full, and batch acquires claim up to 64 names per step. Off by
-	// default: the per-bit probe path is the deterministic-mode contract
-	// whose golden fingerprints (and the paper's per-TAS cost model) stay
-	// bit-identical across refactors.
+	// of names, probes draw among each level's lowest words not hinted
+	// full (shm.NameSpace.ProbeWord), and batch acquires claim up to 64
+	// names per step. Off by default: the per-bit probe path is the
+	// deterministic-mode contract whose golden fingerprints (and the
+	// paper's per-TAS cost model) stay bit-identical across refactors.
 	WordScan bool
 	// Padded lays level bitmaps out one word per cache line for native
 	// runs on real cores; leave false for simulated runs.
@@ -66,9 +66,11 @@ func (c *LevelConfig) fill() {
 // Names are numbered level 0 first, so low occupancy concentrates issued
 // names near 0: with k concurrent holders the random probes w.h.p. place
 // everyone within the first O(log k) levels, whose sizes sum to O(k) — the
-// long-lived analogue of adaptive tight renaming. A level's bitmap and
-// stamp pages become resident on its first claim, so the arena's memory
-// follows the same O(k) prefix.
+// long-lived analogue of adaptive tight renaming. With WordScan, a probe
+// draws among the few lowest open words of its level (shm.ProbeWord), so
+// holders also pack into the low words of the level they reach. A level's
+// bitmap and stamp pages become resident on its first claim, so the
+// arena's memory follows the same O(k) prefix.
 type LevelArena struct {
 	cfg    LevelConfig
 	levels []*shm.NameSpace
@@ -172,25 +174,11 @@ func (a *LevelArena) tryClaim(p *shm.Proc, lvl *shm.NameSpace, i int, stamp uint
 	return lvl.TryClaimStamped(p, i, stamp)
 }
 
-// claimFirstFree is ClaimFirstFree or its stamped variant.
-func (a *LevelArena) claimFirstFree(p *shm.Proc, lvl *shm.NameSpace, w int, stamp uint64) int {
-	if stamp == 0 {
-		return lvl.ClaimFirstFree(p, w)
-	}
-	return lvl.ClaimFirstFreeStamped(p, w, stamp)
-}
-
-// claimUpTo is ClaimUpTo or its stamped variant.
-func (a *LevelArena) claimUpTo(p *shm.Proc, lvl *shm.NameSpace, w, k int, stamp uint64) uint64 {
-	if stamp == 0 {
-		return lvl.ClaimUpTo(p, w, k)
-	}
-	return lvl.ClaimUpToStamped(p, w, k, stamp)
-}
-
-// Acquire implements Arena: random probes down the ladder, then a
-// deterministic backstop scan; repeat up to MaxPasses passes. With WordScan
-// the probes and the backstop run word-granular (see acquireWord).
+// Acquire implements Arena: random probes down the ladder, uniform over
+// each level's names, then a deterministic backstop scan; repeat up to
+// MaxPasses passes. With WordScan the probes and the backstop run
+// word-granular and the probes draw among each level's lowest open words
+// (see acquireWord).
 func (a *LevelArena) Acquire(p *shm.Proc) int {
 	if a.cfg.WordScan {
 		return a.acquireWord(p)
@@ -223,41 +211,36 @@ func (a *LevelArena) Acquire(p *shm.Proc) int {
 	return -1
 }
 
-// acquireWord is the word-granular Acquire: random probes pick a bitmap
-// word per attempt — skipping words hinted saturated, at no step cost —
-// and ClaimFirstFree turns the whole word into one snapshot-scan-CAS step.
-// A level below the backstop whose every word is hinted saturated
-// (NameSpace.Saturated) is skipped before its probes are drawn: each probe
-// would have landed on a hinted word at zero steps, so only the draws
-// disappear (ALGORITHMS.md §10). The backstop's probes are never skipped,
-// so a single-level ladder draws exactly as before. The backstop scans
-// words, not names: capacity/64 steps instead of 2×capacity. Hints only
-// redirect probes; the backstop reads every word itself, so a stale hint
-// (a release racing the claim that set it) can never starve the
-// termination guarantee.
+// acquireWord is the word-granular Acquire: each probe draws one of its
+// level's lowest open words (shm.ProbeWord, no step) and ClaimFirstFree
+// turns the whole word into one snapshot-scan-CAS step. A level whose every
+// word is hinted saturated draws nothing and is passed at no step cost
+// (ALGORITHMS.md §10). The backstop scans words, not names: capacity/64
+// steps instead of 2×capacity. Hints only steer probes; the backstop reads
+// every word itself, so a stale hint (a release racing the claim that set
+// it) can never starve the termination guarantee.
 func (a *LevelArena) acquireWord(p *shm.Proc) int {
 	stamp := a.leaseStamp(p)
 	r := p.Rand()
 	backstop := len(a.levels) - 1
 	for pass := 0; a.cfg.MaxPasses == 0 || pass < a.cfg.MaxPasses; pass++ {
 		for li, lvl := range a.levels {
-			if li < backstop && lvl.Saturated() {
+			if lvl.Saturated() {
 				continue
 			}
-			words := lvl.Words()
 			for t := 0; t < a.cfg.Probes; t++ {
-				w := r.Intn(words)
-				if lvl.WordSaturated(w) {
-					continue
+				w := lvl.ProbeWord(r)
+				if w < 0 {
+					break
 				}
-				if n := a.claimFirstFree(p, lvl, w, stamp); n >= 0 {
+				if n := claimWord(p, lvl, w, stamp); n >= 0 {
 					return a.base[li] + n
 				}
 			}
 		}
 		lvl := a.levels[backstop]
 		for w := 0; w < lvl.Words(); w++ {
-			if n := a.claimFirstFree(p, lvl, w, stamp); n >= 0 {
+			if n := claimWord(p, lvl, w, stamp); n >= 0 {
 				return a.base[backstop] + n
 			}
 		}
@@ -267,10 +250,11 @@ func (a *LevelArena) acquireWord(p *shm.Proc) int {
 
 // AcquireN implements Arena. With WordScan the batch is served by
 // word-granular bulk claims — ClaimUpTo takes up to 64 free names from a
-// probed word in one CAS step — walking the ladder top-down so batches
-// stay concentrated in the low levels; the word backstop completes the
-// remainder. Without WordScan it degenerates to k independent Acquires
-// (the per-bit probe path has no cheaper primitive).
+// probed word in one CAS step — walking the ladder from level 0 with the
+// probes of acquireWord, so batches stay concentrated in the low levels
+// and words; the word backstop completes the remainder. Without WordScan
+// it degenerates to k independent Acquires (the per-bit probe path has no
+// cheaper primitive).
 func (a *LevelArena) AcquireN(p *shm.Proc, k int, out []int) []int {
 	if !a.cfg.WordScan {
 		for ; k > 0; k-- {
@@ -287,21 +271,20 @@ func (a *LevelArena) AcquireN(p *shm.Proc, k int, out []int) []int {
 	backstop := len(a.levels) - 1
 	for pass := 0; k > 0 && (a.cfg.MaxPasses == 0 || pass < a.cfg.MaxPasses); pass++ {
 		for li, lvl := range a.levels {
-			if li < backstop && lvl.Saturated() {
+			if lvl.Saturated() {
 				continue
 			}
-			words := lvl.Words()
 			for t := 0; k > 0 && t < a.cfg.Probes; t++ {
-				w := r.Intn(words)
-				if lvl.WordSaturated(w) {
-					continue
+				w := lvl.ProbeWord(r)
+				if w < 0 {
+					break
 				}
-				out, k = appendMask(out, a.base[li]+w<<6, a.claimUpTo(p, lvl, w, k, stamp), k)
+				out, k = appendMask(out, a.base[li]+w<<6, claimUpTo(p, lvl, w, k, stamp), k)
 			}
 		}
 		lvl := a.levels[backstop]
 		for w := 0; k > 0 && w < lvl.Words(); w++ {
-			out, k = appendMask(out, a.base[backstop]+w<<6, a.claimUpTo(p, lvl, w, k, stamp), k)
+			out, k = appendMask(out, a.base[backstop]+w<<6, claimUpTo(p, lvl, w, k, stamp), k)
 		}
 	}
 	return out
@@ -309,23 +292,20 @@ func (a *LevelArena) AcquireN(p *shm.Proc, k int, out []int) []int {
 
 // AcquireBlock implements registry.BlockAcquirer: one first-fit sweep up
 // the ladder, claiming up to k of the lowest free names with one ClaimUpTo
-// step per word that has room. Levels and words hinted full are skipped at
-// no step cost, and nothing is retried, so the sweep is bounded by the
-// ladder's word count and may come back short. It runs the word claim
-// engine whatever WordScan selects for Acquire: a block is whole bitmap
-// words by construction.
+// step per word that has room. Words hinted full are skipped at no step
+// cost, 64 at a time (NameSpace.OpenWords), and nothing is retried, so the
+// sweep is bounded by the ladder's word count and may come back short. It
+// runs the word claim engine whatever WordScan selects for Acquire: a block
+// is whole bitmap words by construction.
 func (a *LevelArena) AcquireBlock(p *shm.Proc, k int, out []int) []int {
 	stamp := a.leaseStamp(p)
 	for li := 0; k > 0 && li < len(a.levels); li++ {
 		lvl := a.levels[li]
-		if lvl.Saturated() {
-			continue
-		}
-		for w := 0; k > 0 && w < lvl.Words(); w++ {
-			if lvl.WordSaturated(w) {
-				continue
+		for i := 0; k > 0 && i<<6 < lvl.Words(); i++ {
+			for open := lvl.OpenWords(i); k > 0 && open != 0; open &= open - 1 {
+				w := i<<6 + bits.TrailingZeros64(open)
+				out, k = appendMask(out, a.base[li]+w<<6, claimUpTo(p, lvl, w, k, stamp), k)
 			}
-			out, k = appendMask(out, a.base[li]+w<<6, a.claimUpTo(p, lvl, w, k, stamp), k)
 		}
 	}
 	return out

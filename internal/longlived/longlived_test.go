@@ -239,6 +239,53 @@ func TestChurnWordScanGolden(t *testing.T) {
 	}
 }
 
+// TestChurnMultiWordGolden pins the word path on a multi-word ladder, in
+// the shape of BENCH_4's simulated cells: NewLevel(1024), FIFO, n/batch
+// procs churning batches of 1 and 4. The one-word ladders of
+// TestChurnWordScanGolden cannot see which word a probe draws; here levels
+// 1–4 span 2–16 words, so the fingerprint pins where the probe window
+// (shm.NameSpace.ProbeWord) puts holders (max name) and what the narrow
+// window costs in steps. The word path must stay at least 2× below the bit
+// path in acquire steps, BENCH_4's reduction gate.
+func TestChurnMultiWordGolden(t *testing.T) {
+	type fingerprint struct {
+		acquires, maxName, acquireSteps int64
+	}
+	golden := map[int]fingerprint{
+		1: {acquires: 4096, maxName: 1170, acquireSteps: 10305},
+		4: {acquires: 4096, maxName: 1163, acquireSteps: 2596},
+	}
+	const n = 1024
+	run := func(wordScan bool, batch int) fingerprint {
+		a := NewLevel(n, LevelConfig{WordScan: wordScan, Label: "t-goldenmw"})
+		mon := NewMonitor(a.NameBound())
+		sched.Run(sched.Config{
+			N:         n / batch,
+			Seed:      1,
+			Fast:      sched.FastFIFO,
+			Body:      BatchChurnBody(a, mon, ChurnConfig{Cycles: 4, HoldMax: 8}, batch),
+			AfterStep: a.Clock(),
+		})
+		if err := mon.Err(); err != nil {
+			t.Fatal(err)
+		}
+		if h := a.Held(); h != 0 {
+			t.Fatalf("%d names held after drain", h)
+		}
+		return fingerprint{mon.Acquires(), mon.MaxName(), mon.AcquireSteps()}
+	}
+	for _, batch := range []int{1, 4} {
+		got := run(true, batch)
+		if want := golden[batch]; got != want {
+			t.Errorf("batch %d: fingerprint %+v, want golden %+v", batch, got, want)
+		}
+		if bit := run(false, batch); 2*got.acquireSteps > bit.acquireSteps {
+			t.Errorf("batch %d: word path took %d acquire steps, bit path %d: want at least 2x fewer",
+				batch, got.acquireSteps, bit.acquireSteps)
+		}
+	}
+}
+
 // TestBatchAcquireRelease checks the batch contract on every backend:
 // AcquireN serves distinct in-bound names up to capacity, partial batches
 // appear only when the arena is structurally full, and ReleaseN drains.
@@ -454,10 +501,11 @@ func TestLevelSkipsSaturatedLevels(t *testing.T) {
 	p := nativeProc(2)
 	from := *p.Rand()
 	n := a.Acquire(p)
-	if li, _ := a.locate(n); li != 4 {
-		t.Fatalf("acquired %d in level %d, want level 4", n, li)
+	// Level 4's 16 words are all open: ProbeWord takes exactly one draw
+	// and lands in one of its 4 lowest words.
+	if li, i := a.locate(n); li != 4 || i >= 4*64 {
+		t.Fatalf("acquired %d (local %d of level %d), want one of level 4's 4 lowest words", n, i, li)
 	}
-	// Level 4 has 16 words: Intn(16) takes exactly one draw.
 	if d := draws(t, from, p); d != 1 {
 		t.Fatalf("acquire took %d draws, want 1 (none for the saturated levels 0-3)", d)
 	}

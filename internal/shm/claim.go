@@ -23,13 +23,16 @@ package shm
 // its own CAS filled it, cleared by every release touching the word).
 // Reading the summary costs no process step — like the adversary's Probe it
 // is a performance hint, never a correctness input: hints can go stale when
-// a release races a claim, so callers may use them to redirect random probes
-// but deterministic fallback scans must consult the words themselves.
+// a release races a claim, so callers may use them to steer random probes
+// (ProbeWord) and to skip words in sweeps (OpenWords), but deterministic
+// fallback scans must consult the words themselves.
 
 import (
 	"fmt"
 	"math/bits"
 	"sync/atomic"
+
+	"shmrename/internal/prng"
 )
 
 // HintBits is a lock-free advisory bitmap: one bit per tracked object,
@@ -42,7 +45,7 @@ import (
 type HintBits struct {
 	words []atomic.Uint64
 	// last is the mask of the tracked bits of the final word (all ones
-	// when n is a multiple of 64), precomputed for Full.
+	// when n is a multiple of 64), precomputed for NameSpace.OpenWords.
 	last uint64
 }
 
@@ -71,27 +74,6 @@ func (h *HintBits) Clear(i int) {
 // Get reports the hint for object i. A true result may be stale.
 func (h *HintBits) Get(i int) bool {
 	return h.words[i>>6].Load()&(1<<(uint(i)&63)) != 0
-}
-
-// Full reports whether every tracked object is hinted saturated: the
-// level-granular view of the per-object hints. Over at most 64 objects it
-// is one load compared against the precomputed last-word mask; larger sets
-// check the final word first and stop at the first clear bit. Like Get, a
-// true result may be stale, and Full over zero objects is vacuously true.
-func (h *HintBits) Full() bool {
-	n := len(h.words) - 1
-	if n < 0 {
-		return true
-	}
-	if h.words[n].Load()&h.last != h.last {
-		return false
-	}
-	for i := 0; i < n; i++ {
-		if h.words[i].Load() != ^uint64(0) {
-			return false
-		}
-	}
-	return true
 }
 
 // Reset clears every hint. Only safe when no processes are running.
@@ -151,17 +133,87 @@ func (s *NameSpace) wordSlot(w int) (int, uint64) {
 	return w * s.stride, valid
 }
 
-// WordSaturated reports the full-word hint for w without spending a process
-// step. A true result may be stale (a release can race the claim that set
-// it), so it must only redirect probes, never gate a fallback scan.
-func (s *NameSpace) WordSaturated(w int) bool { return s.sat.Get(w) }
+// OpenWords returns which of bitmap words 64i..64i+63 are not hinted
+// saturated, as a bit mask (bit j is word 64i+j), without spending a
+// process step. Like every hint it may be stale, so it may skip words of a
+// sweep but never gate a fallback scan.
+func (s *NameSpace) OpenWords(i int) uint64 {
+	open := ^s.sat.words[i].Load()
+	if i == len(s.sat.words)-1 {
+		open &= s.sat.last
+	}
+	return open
+}
 
-// Saturated reports whether every word of the space is hinted full, without
-// spending a process step: a random word probe could then only land on a
-// hinted word and be skipped, so a probe loop may skip the whole space
-// before drawing. Advisory exactly like WordSaturated — deterministic
-// fallback scans must still read the words.
-func (s *NameSpace) Saturated() bool { return s.sat.Full() }
+// Saturated reports whether every word of the space is hinted full. It
+// inlines (one load for up to 64 words), so probe loops skip a saturated
+// level without a ProbeWord call. Advisory like OpenWords.
+func (s *NameSpace) Saturated() bool {
+	for i := range s.sat.words {
+		if s.OpenWords(i) != 0 {
+			return false
+		}
+	}
+	return true
+}
+
+// wrapRows packs, for a window of c = 1..4 open words, each draw d = 0..3
+// wrapped around it (d mod c) as a 2-bit field at bit 8c+2d: a wrap is two
+// shifts, with no memory load or branch.
+const wrapRows = 0xE424440000
+
+// ProbeWord picks the bitmap word of one random word probe: one of the 4
+// lowest words not hinted saturated, chosen by the top bits of a single
+// r.Uint64() and wrapping around when fewer are open. It returns -1,
+// drawing nothing, when every word is hinted. The draw spreads concurrent
+// claimants over a few CAS targets, yet holders pack into the lowest words,
+// so issued names stay tight under churn. A claim that finds its word full
+// hints it, so the next probe draws from the next open words. No process
+// step; a stale hint only moves a probe.
+func (s *NameSpace) ProbeWord(r *prng.Rand) int {
+	last := len(s.sat.words) - 1
+	for i := 0; i <= last; i++ {
+		open := s.OpenWords(i)
+		if open == 0 {
+			continue
+		}
+		// Everything but the final pick is computed before the draw, and
+		// the shift counts are masked so they need no overflow checks.
+		c := bits.OnesCount64(open)
+		row := uint64(wrapRows) >> (8 * uint(min(c, 4)) & 63)
+		d := uint(r.Uint64() >> 62) // top 2 bits: one of 4 words
+		if i < last && int(d) >= c {
+			return s.probeAcross(i, int(d))
+		}
+		// Clear the k open words below the drawn one without branching on
+		// the draw, which would mispredict: (k+j)>>2 is 1 iff k >= 4-j.
+		k := row >> (2 * d & 63) & 3
+		at := open
+		at &= at - (k+3)>>2
+		at &= at - (k+2)>>2
+		at &= at - (k+1)>>2
+		return i<<6 + bits.TrailingZeros64(at)
+	}
+	return -1
+}
+
+// probeAcross serves a ProbeWord draw d that lies past the open words of
+// summary word i: the window continues into the following summary words,
+// and d wraps around it when fewer than d+1 words are open in all.
+func (s *NameSpace) probeAcross(i, d int) int {
+	var window [4]int
+	n := 0
+	for ; i < len(s.sat.words) && n <= d; i++ {
+		for open := s.OpenWords(i); open != 0 && n <= d; open &= open - 1 {
+			window[n] = i<<6 + bits.TrailingZeros64(open)
+			n++
+		}
+	}
+	if n == 0 { // every hint was set since ProbeWord read them
+		return -1
+	}
+	return window[wrapRows>>((8*uint(n)+2*uint(d))&63)&3]
+}
 
 // lowestBits returns the k lowest set bits of m (all of m if it has fewer).
 func lowestBits(m uint64, k int) uint64 {

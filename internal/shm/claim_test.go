@@ -2,6 +2,7 @@ package shm
 
 import (
 	"math/bits"
+	"slices"
 	"sync"
 	"testing"
 
@@ -29,7 +30,7 @@ func TestClaimFirstFreeOneStepPerClaim(t *testing.T) {
 		if got := s.ClaimFirstFree(p, w); got != -1 {
 			t.Fatalf("full word %d yielded %d", w, got)
 		}
-		if !s.WordSaturated(w) {
+		if !s.sat.Get(w) {
 			t.Fatalf("word %d not hinted saturated after observed full", w)
 		}
 	}
@@ -38,7 +39,7 @@ func TestClaimFirstFreeOneStepPerClaim(t *testing.T) {
 	}
 	// A release re-opens the word and drops the hint.
 	s.Free(p, 64)
-	if s.WordSaturated(1) {
+	if s.sat.Get(1) {
 		t.Fatal("word 1 still hinted saturated after free")
 	}
 	if got := s.ClaimFirstFree(p, 1); got != 64 {
@@ -52,17 +53,17 @@ func TestClaimFirstFreeOneStepPerClaim(t *testing.T) {
 func TestClaimThatFillsWordSetsHint(t *testing.T) {
 	s := NewNameSpace("t-fillhint", 130) // two full words + one 2-bit partial
 	p := claimProc(0)
-	if got := s.ClaimUpTo(p, 0, 63); bits.OnesCount64(got) != 63 || s.WordSaturated(0) {
-		t.Fatalf("claimed %d of word 0, hint %v; want 63 names and no hint", bits.OnesCount64(got), s.WordSaturated(0))
+	if got := s.ClaimUpTo(p, 0, 63); bits.OnesCount64(got) != 63 || s.sat.Get(0) {
+		t.Fatalf("claimed %d of word 0, hint %v; want 63 names and no hint", bits.OnesCount64(got), s.sat.Get(0))
 	}
-	if got := s.ClaimFirstFree(p, 0); got != 63 || !s.WordSaturated(0) {
-		t.Fatalf("last-bit claim got %d, hint %v; want 63 and the hint set", got, s.WordSaturated(0))
+	if got := s.ClaimFirstFree(p, 0); got != 63 || !s.sat.Get(0) {
+		t.Fatalf("last-bit claim got %d, hint %v; want 63 and the hint set", got, s.sat.Get(0))
 	}
-	if got := s.ClaimMask(p, 1, ^uint64(0)); got != ^uint64(0) || !s.WordSaturated(1) {
-		t.Fatalf("whole-word mask claim won %x, hint %v", got, s.WordSaturated(1))
+	if got := s.ClaimMask(p, 1, ^uint64(0)); got != ^uint64(0) || !s.sat.Get(1) {
+		t.Fatalf("whole-word mask claim won %x, hint %v", got, s.sat.Get(1))
 	}
-	if got := s.ClaimUpTo(p, 2, 64); got != 3 || !s.WordSaturated(2) {
-		t.Fatalf("partial word claim won %x, hint %v; want 0x3 and the hint set", got, s.WordSaturated(2))
+	if got := s.ClaimUpTo(p, 2, 64); got != 3 || !s.sat.Get(2) {
+		t.Fatalf("partial word claim won %x, hint %v; want 0x3 and the hint set", got, s.sat.Get(2))
 	}
 	if !s.Saturated() {
 		t.Fatal("every word filled, but the space is not hinted saturated")
@@ -70,7 +71,7 @@ func TestClaimThatFillsWordSetsHint(t *testing.T) {
 	steps := p.Steps()
 	for w := 0; w < s.Words(); w++ {
 		s.Free(p, w<<6+1)
-		if s.WordSaturated(w) {
+		if s.sat.Get(w) {
 			t.Fatalf("word %d still hinted full after a release", w)
 		}
 	}
@@ -79,47 +80,133 @@ func TestClaimThatFillsWordSetsHint(t *testing.T) {
 	}
 }
 
-// TestHintBitsFull pins the level-granular summary: Full holds exactly when
-// every tracked bit is set, whatever the last word's fill, and one Clear
-// (or a Reset) reopens it. Bits beyond n never count.
-func TestHintBitsFull(t *testing.T) {
-	for _, n := range []int{1, 63, 64, 65, 128, 130} {
-		h := NewHintBits(n)
-		if h.Full() {
-			t.Fatalf("n=%d: fresh hints report full", n)
-		}
-		// Every bit but the last one set: a partial last word is not full.
-		for i := 0; i < n-1; i++ {
-			h.Set(i)
-		}
-		if h.Full() {
-			t.Fatalf("n=%d: full with bit %d clear", n, n-1)
-		}
-		h.Set(n - 1)
-		if !h.Full() {
-			t.Fatalf("n=%d: not full with every bit set one by one", n)
-		}
-		// One Clear anywhere reopens the set; the first word covers the
-		// multi-word case where the last word alone still reads full.
-		for _, i := range []int{0, n / 2, n - 1} {
-			h.Clear(i)
-			if h.Full() {
-				t.Fatalf("n=%d: still full after Clear(%d)", n, i)
+// TestProbeWordDrawsLowestOpenWords pins the probe window: every draw
+// lands on one of the 4 lowest words not hinted saturated, each of them in
+// its share of the draws, and a window with fewer open words wraps the
+// draws past its end around to its start. The space has 256 words, so its hints span four summary
+// words and the windows cross summary-word boundaries.
+func TestProbeWordDrawsLowestOpenWords(t *testing.T) {
+	for _, tc := range []struct {
+		name   string
+		open   []int // every other word is hinted saturated; nil: fresh space
+		window []int
+	}{
+		{"fresh", nil, []int{0, 1, 2, 3}},
+		{"crosses a summary word", []int{62, 64, 65, 66, 67, 200}, []int{62, 64, 65, 66}},
+		{"one open word per summary word", []int{5, 70, 200, 255}, []int{5, 70, 200, 255}},
+		{"three open words", []int{10, 130, 250}, []int{10, 130, 250}},
+		{"one open word", []int{191}, []int{191}},
+	} {
+		s := NewNameSpace("t-probe", 16384)
+		if tc.open != nil {
+			s.SaturateAll()
+			for _, w := range tc.open {
+				s.sat.Clear(w)
 			}
-			h.Set(i)
 		}
-		h.Reset()
-		if h.Full() {
-			t.Fatalf("n=%d: full after Reset", n)
+		r := prng.New(3)
+		const draws = 4000
+		count := make(map[int]int)
+		for d := 0; d < draws; d++ {
+			count[s.ProbeWord(r)]++
 		}
-		h.SetAll()
-		if !h.Full() {
-			t.Fatalf("n=%d: not full after SetAll", n)
+		for w := range count {
+			if !slices.Contains(tc.window, w) {
+				t.Fatalf("%s: drew word %d outside the window %v", tc.name, w, tc.window)
+			}
 		}
-		h.Clear(n - 1)
-		if h.Full() {
-			t.Fatalf("n=%d: full after SetAll then Clear(%d)", n, n-1)
+		for i, w := range tc.window {
+			// Each of the four draw values takes a quarter of the draws;
+			// a window of fewer words wraps the values around it.
+			want := 0
+			for v := 0; v < 4; v++ {
+				if v%len(tc.window) == i {
+					want += draws / 4
+				}
+			}
+			if got := count[w]; got < want*8/10 || got > want*12/10 {
+				t.Fatalf("%s: word %d drawn %d times of %d, want about %d", tc.name, w, got, draws, want)
+			}
 		}
+	}
+}
+
+// TestProbeWordMasksPartialLastWord covers every fill of the last summary
+// word: hint bits past the space's last word never count as open, a single
+// clear hint anywhere is found, and a fully hinted space yields no word and
+// reads Saturated, whatever the last word's fill.
+func TestProbeWordMasksPartialLastWord(t *testing.T) {
+	r := prng.New(5)
+	for _, words := range []int{1, 63, 64, 65, 128, 130} {
+		s := NewNameSpace("t-probe-partial", words*64-1) // partial last bitmap word too
+		if s.Saturated() {
+			t.Fatalf("%d words: a fresh space reads saturated", words)
+		}
+		// Every hint but the last one set: only the last word is open.
+		for w := 0; w < words-1; w++ {
+			s.sat.Set(w)
+		}
+		if got := s.ProbeWord(r); got != words-1 || s.Saturated() {
+			t.Fatalf("%d words: drew %d (saturated %v), want the one open word %d", words, got, s.Saturated(), words-1)
+		}
+		s.sat.Set(words - 1)
+		if got := s.ProbeWord(r); got != -1 || !s.Saturated() {
+			t.Fatalf("%d words: drew %d (saturated %v) with every word hinted", words, got, s.Saturated())
+		}
+		// One clear hint anywhere reopens the space at exactly that word;
+		// the first word covers a multi-summary-word space whose last
+		// summary word alone still reads full.
+		for _, w := range []int{0, words / 2, words - 1} {
+			s.sat.Clear(w)
+			if got := s.ProbeWord(r); got != w || s.Saturated() {
+				t.Fatalf("%d words: drew %d (saturated %v), want the reopened word %d", words, got, s.Saturated(), w)
+			}
+			s.sat.Set(w)
+		}
+		s.DesaturateAll()
+		if got := s.ProbeWord(r); got < 0 || got >= min(words, 4) || s.Saturated() {
+			t.Fatalf("%d words: drew %d after a reset, want one of the lowest %d", words, got, min(words, 4))
+		}
+		// SetAll also sets the bits past the last word; they stay closed.
+		s.SaturateAll()
+		if got := s.ProbeWord(r); got != -1 || !s.Saturated() {
+			t.Fatalf("%d words: drew %d (saturated %v) after SaturateAll", words, got, s.Saturated())
+		}
+		s.sat.Clear(words - 1)
+		if got := s.ProbeWord(r); got != words-1 || s.Saturated() {
+			t.Fatalf("%d words: drew %d, want %d after SaturateAll then one clear", words, got, words-1)
+		}
+		last := (words - 1) >> 6
+		if open := s.OpenWords(last); open != 1<<((words-1)&63) {
+			t.Fatalf("%d words: summary word %d open mask %x, want only word %d", words, last, open, words-1)
+		}
+	}
+}
+
+// TestProbeWordTakesOneDraw: a draw consumes exactly one Uint64 of the
+// generator whatever the window holds, as Intn(words) did before it, and a
+// fully hinted space consumes none.
+func TestProbeWordTakesOneDraw(t *testing.T) {
+	s := NewNameSpace("t-probe-draws", 16384)
+	r := prng.New(9)
+	for _, open := range [][]int{{0}, {3, 200}, {1, 2, 100}, {7, 8, 9, 10, 11, 255}} {
+		s.SaturateAll()
+		for _, w := range open {
+			s.sat.Clear(w)
+		}
+		for d := 0; d < 100; d++ {
+			want := *r
+			want.Uint64()
+			s.ProbeWord(r)
+			if *r != want {
+				t.Fatalf("open words %v: a draw did not consume exactly one Uint64", open)
+			}
+		}
+	}
+	s.SaturateAll()
+	before := *r
+	if got := s.ProbeWord(r); got != -1 || *r != before {
+		t.Fatalf("fully hinted space drew word %d, generator moved %v", got, *r != before)
 	}
 }
 
