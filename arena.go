@@ -17,7 +17,6 @@ import (
 	"shmrename/internal/recovery"
 	"shmrename/internal/registry"
 	_ "shmrename/internal/registry/all" // link every backend's registration
-	"shmrename/internal/sharded"
 	"shmrename/internal/shm"
 )
 
@@ -48,7 +47,7 @@ const (
 	// ArenaBackendSharded is the striped multicore frontend: the name
 	// space is partitioned across ArenaConfig.Shards level-array
 	// sub-arenas, each goroutine keeps a cached home-shard affinity, and a
-	// full home shard overflows to ArenaConfig.StealProbes neighbor shards
+	// full home shard overflows to two randomly chosen neighbor shards
 	// before a deterministic full sweep. Issued names stay within the
 	// shards × per-shard-bound tightness envelope (see NameBound).
 	ArenaBackendSharded ArenaBackend = "sharded"
@@ -84,28 +83,22 @@ type ArenaConfig struct {
 	Capacity int
 	// Backend defaults to ArenaLevel. Besides the named constants, any
 	// backend registered with the in-process backend registry resolves by
-	// its registry name (e.g. "lease-cached"); registry backends take only
-	// Capacity and Lease — the named-backend tuning knobs (Probes, Probe,
-	// Shards, StealProbes, LeaseBlocks) are config errors with them.
+	// its registry name (e.g. "lease-cached"); the named constants are
+	// registry names too, so every backend is built the same way. A knob
+	// the resolved backend's capabilities do not cover is a config error,
+	// never silently dropped.
 	Backend ArenaBackend
-	// Probes tunes the per-level random probe count (ArenaLevel, where a
-	// ProbeWord probe draws among the level's 4 lowest open words) or the
-	// random device-attempt count (ArenaTau). 0 selects the default.
-	Probes int
-	// Shards is the stripe count of the sharded backend: the arena is
-	// partitioned into Shards independent sub-arenas so concurrent
-	// Acquire/Release traffic scales with cores. Only meaningful with
-	// ArenaBackendSharded (setting it with another backend is a config
-	// error). 0 selects GOMAXPROCS clamped to [1, Capacity]; explicit
-	// values must lie in [1, Capacity].
+	// Shards is the stripe count of a sharded backend (ArenaBackendSharded
+	// or "lease-cached"): the arena is partitioned into Shards independent
+	// sub-arenas so concurrent Acquire/Release traffic scales with cores.
+	// Setting it with an unsharded backend is a config error. 0 selects
+	// GOMAXPROCS clamped to [1, Capacity]; explicit values must lie in
+	// [1, Capacity].
 	Shards int
-	// StealProbes bounds the work-stealing probes of the sharded backend:
-	// how many randomly chosen neighbor shards an acquire tries after its
-	// home shard reports full, before falling back to a full sweep. Only
-	// meaningful with ArenaBackendSharded. 0 selects the default (2).
-	StealProbes int
 	// Probe selects the slot-search granularity: ProbeWord (the default)
-	// or ProbeBit. See the ProbeMode constants.
+	// or ProbeBit. See the ProbeMode constants. Caching backends
+	// ("lease-cached") lease whole words, so ProbeBit is a config error
+	// with them.
 	Probe ProbeMode
 	// LeaseBlocks enables per-worker word-block lease caches: workers
 	// lease blocks of LeaseBlocks names (at most 64 — one bitmap word,
@@ -123,7 +116,8 @@ type ArenaConfig struct {
 	// Caching composes with Lease — a cached block is one lease, renewed
 	// by Heartbeat and reclaimed wholesale if this handle crashes. 0 (the
 	// default) disables caching; enabling it requires the word-granular
-	// claim engine (ProbeBit is a config error).
+	// claim engine (ProbeBit is a config error), and a backend that caches
+	// already ("lease-cached") refuses it.
 	LeaseBlocks int
 	// Elastic, when non-nil, makes the arena contention-proportional: the
 	// geometric level ladder starts at MinCapacity's worth of levels and
@@ -131,11 +125,11 @@ type ArenaConfig struct {
 	// bitmap+stamp memory track current holders instead of the provisioned
 	// peak (see Stats().CapacityNow). Resizes never block concurrent
 	// acquires, and a shrink never reclaims a held name. Supported by the
-	// level-array and sharded backends (per-shard elasticity) and by
-	// registry backends declaring the Elastic capability; a config error
-	// elsewhere. Nil (the default) keeps every backend fixed-capacity —
-	// the existing deterministic fingerprints and benchmark gates are
-	// unaffected.
+	// level-array backend (which it turns into ArenaElastic), by sharded
+	// backends (per-shard elasticity) and by registry backends declaring
+	// the Elastic capability; a config error elsewhere. Nil (the default)
+	// keeps every backend but ArenaElastic fixed-capacity — the existing
+	// deterministic fingerprints and benchmark gates are unaffected.
 	Elastic *ElasticConfig
 	// Seed drives client-side randomness (probe targets).
 	Seed uint64
@@ -524,14 +518,11 @@ func NewArena(cfg ArenaConfig) (*Arena, error) {
 	if cfg.Capacity >= 1<<29 {
 		return nil, fmt.Errorf("shmrename: ArenaConfig.Capacity must be < 2^29, got %d", cfg.Capacity)
 	}
-	if cfg.Probes < 0 {
-		return nil, fmt.Errorf("shmrename: ArenaConfig.Probes must be >= 0, got %d", cfg.Probes)
-	}
-	var wordScan bool
+	rcfg := registry.Config{Capacity: cfg.Capacity, MaxPasses: acquirePasses, Scan: "word", Padded: true}
 	switch cfg.Probe {
 	case ProbeAuto, ProbeWord:
-		wordScan = true
 	case ProbeBit:
+		rcfg.Scan = "bit"
 	default:
 		return nil, fmt.Errorf("shmrename: unknown ArenaConfig.Probe mode %q (want %q or %q)",
 			cfg.Probe, ProbeWord, ProbeBit)
@@ -539,18 +530,8 @@ func NewArena(cfg ArenaConfig) (*Arena, error) {
 	if cfg.LeaseBlocks < 0 || cfg.LeaseBlocks > 64 {
 		return nil, fmt.Errorf("shmrename: ArenaConfig.LeaseBlocks must lie in [0, 64], got %d", cfg.LeaseBlocks)
 	}
-	if cfg.LeaseBlocks > 0 && !wordScan {
+	if cfg.LeaseBlocks > 0 && cfg.Probe == ProbeBit {
 		return nil, fmt.Errorf("shmrename: ArenaConfig.LeaseBlocks leases whole bitmap words and requires the word-granular claim engine; it cannot combine with Probe %q", ProbeBit)
-	}
-	if cfg.Backend != ArenaBackendSharded {
-		if cfg.Shards != 0 {
-			return nil, fmt.Errorf("shmrename: ArenaConfig.Shards is only meaningful with the %q backend, got Shards=%d with backend %q",
-				ArenaBackendSharded, cfg.Shards, cfg.Backend)
-		}
-		if cfg.StealProbes != 0 {
-			return nil, fmt.Errorf("shmrename: ArenaConfig.StealProbes is only meaningful with the %q backend, got StealProbes=%d with backend %q",
-				ArenaBackendSharded, cfg.StealProbes, cfg.Backend)
-		}
 	}
 	if cfg.Integrity != nil {
 		if err := cfg.Integrity.validate(); err != nil {
@@ -560,20 +541,31 @@ func NewArena(cfg ArenaConfig) (*Arena, error) {
 			return nil, errors.New("shmrename: ArenaConfig.Integrity requires ArenaConfig.Lease (the scrubber verifies the lease stamps)")
 		}
 	}
+	b, err := cfg.backend()
+	if err != nil {
+		return nil, err
+	}
+	if b.Caps.Sharded {
+		if cfg.Shards < 0 || cfg.Shards > cfg.Capacity {
+			return nil, fmt.Errorf("shmrename: ArenaConfig.Shards must lie in [1, Capacity=%d], got %d", cfg.Capacity, cfg.Shards)
+		}
+		rcfg.Shards = cfg.Shards
+		if rcfg.Shards == 0 {
+			rcfg.Shards = min(runtime.GOMAXPROCS(0), cfg.Capacity)
+		}
+	}
 	// The elastic policy resolves its growth ceiling up front: the ladder
-	// shape is provisioned for buildCap, residency starts near MinCapacity.
-	buildCap := cfg.Capacity
+	// shape is provisioned for it, residency starts near MinCapacity.
 	if cfg.Elastic != nil {
-		var err error
-		if buildCap, err = cfg.Elastic.validate(cfg.Capacity); err != nil {
+		if rcfg.Capacity, err = cfg.Elastic.validate(cfg.Capacity); err != nil {
 			return nil, err
 		}
+		rcfg.Elastic = cfg.Elastic.params()
 	}
 	// The lease layer stamps every claim with this handle's holder
 	// identity (the process ID), so Heartbeat renews all of the handle's
 	// names at once and the handle — not individual goroutines — is the
 	// recovery unit.
-	var lease *longlived.LeaseOpts
 	var holder uint64
 	if cfg.Lease != nil {
 		if err := cfg.Lease.validate(); err != nil {
@@ -588,121 +580,10 @@ func NewArena(cfg ArenaConfig) (*Arena, error) {
 		if holder < 1 || holder > shm.MaxHolder {
 			holder = holder%shm.MaxHolder + 1
 		}
-		lease = &longlived.LeaseOpts{
-			Epochs: shm.WallEpochs{},
-			Holder: func(*shm.Proc) uint64 { return holder },
-		}
+		rcfg.Epochs = shm.WallEpochs{}
+		rcfg.Holder = holder
 	}
-	var impl longlived.Arena
-	switch cfg.Backend {
-	case "", ArenaLevel:
-		if cfg.Elastic != nil {
-			impl = longlived.NewElastic(buildCap, longlived.ElasticConfig{
-				MinCapacity: cfg.Elastic.MinCapacity,
-				GrowAt:      cfg.Elastic.GrowAt,
-				ShrinkAt:    cfg.Elastic.ShrinkAt,
-				Probes:      cfg.Probes,
-				MaxPasses:   acquirePasses,
-				WordScan:    wordScan,
-				Padded:      true,
-				Lease:       lease,
-			})
-			break
-		}
-		impl = longlived.NewLevel(cfg.Capacity, longlived.LevelConfig{
-			Probes:    cfg.Probes,
-			MaxPasses: acquirePasses,
-			WordScan:  wordScan,
-			Padded:    true,
-			Lease:     lease,
-		})
-	case ArenaElastic:
-		e := cfg.Elastic
-		if e == nil {
-			e = &ElasticConfig{}
-		}
-		impl = longlived.NewElastic(buildCap, longlived.ElasticConfig{
-			MinCapacity: e.MinCapacity,
-			GrowAt:      e.GrowAt,
-			ShrinkAt:    e.ShrinkAt,
-			Probes:      cfg.Probes,
-			MaxPasses:   acquirePasses,
-			WordScan:    wordScan,
-			Padded:      true,
-			Lease:       lease,
-		})
-	case ArenaTau:
-		if cfg.Elastic != nil {
-			return nil, fmt.Errorf("shmrename: ArenaConfig.Elastic is not supported by the %q backend (its counting devices are fixed-shape); use %q or %q",
-				ArenaTau, ArenaLevel, ArenaBackendSharded)
-		}
-		impl = longlived.NewTau(cfg.Capacity, longlived.TauConfig{
-			Probes:      cfg.Probes,
-			MaxPasses:   acquirePasses,
-			WordScan:    wordScan,
-			SelfClocked: true,
-			Padded:      true,
-			Lease:       lease,
-		})
-	case ArenaBackendSharded:
-		shards := cfg.Shards
-		if shards < 0 || shards > cfg.Capacity {
-			return nil, fmt.Errorf("shmrename: ArenaConfig.Shards must lie in [1, Capacity=%d], got %d", cfg.Capacity, shards)
-		}
-		if shards == 0 {
-			shards = runtime.GOMAXPROCS(0)
-			if shards > cfg.Capacity {
-				shards = cfg.Capacity
-			}
-		}
-		if cfg.StealProbes < 0 {
-			return nil, fmt.Errorf("shmrename: ArenaConfig.StealProbes must be >= 0, got %d", cfg.StealProbes)
-		}
-		scfg := sharded.Config{
-			Shards:      shards,
-			StealProbes: cfg.StealProbes,
-			MaxPasses:   acquirePasses,
-			Probes:      cfg.Probes,
-			WordScan:    wordScan,
-			Padded:      true,
-			Lease:       lease,
-		}
-		if cfg.Elastic != nil {
-			scfg.Elastic = cfg.Elastic.params()
-		}
-		impl = sharded.New(buildCap, scfg)
-	default:
-		// Any other name resolves through the backend registry, so a backend
-		// added to internal/registry/all is immediately constructible here.
-		// Registry backends take only the common construction surface: the
-		// named-backend tuning knobs cannot be forwarded and are config
-		// errors rather than silent no-ops.
-		b, ok := registry.Lookup(string(cfg.Backend))
-		if !ok {
-			return nil, fmt.Errorf("shmrename: unknown arena backend %q", cfg.Backend)
-		}
-		if b.Caps.External {
-			return nil, fmt.Errorf("shmrename: backend %q is backed by external state; open it with OpenArena", cfg.Backend)
-		}
-		if b.Caps.DenseProcs {
-			return nil, fmt.Errorf("shmrename: backend %q requires densely numbered process contexts (the simulated-harness model); it is not constructible behind the pooled-proc NewArena surface", cfg.Backend)
-		}
-		if cfg.Probes != 0 || cfg.Probe != ProbeAuto || cfg.LeaseBlocks != 0 {
-			return nil, fmt.Errorf("shmrename: ArenaConfig.Probes/Probe/LeaseBlocks do not apply to registry backend %q", cfg.Backend)
-		}
-		if cfg.Elastic != nil && !b.Caps.Elastic {
-			return nil, fmt.Errorf("shmrename: registry backend %q does not declare the Elastic capability; ArenaConfig.Elastic does not apply", cfg.Backend)
-		}
-		rcfg := registry.Config{Capacity: buildCap, MaxPasses: acquirePasses}
-		if cfg.Elastic != nil {
-			rcfg.Elastic = cfg.Elastic.params()
-		}
-		if cfg.Lease != nil {
-			rcfg.Epochs = shm.WallEpochs{}
-			rcfg.Holder = holder
-		}
-		impl = b.New(rcfg)
-	}
+	impl := b.New(rcfg)
 	var cache *leasecache.Cache
 	if cfg.LeaseBlocks > 0 {
 		cache = leasecache.New(impl, leasecache.Config{Block: cfg.LeaseBlocks})
@@ -712,7 +593,7 @@ func NewArena(cfg ArenaConfig) (*Arena, error) {
 	if cfg.Lease != nil {
 		rec, ok := impl.(longlived.Recoverable)
 		if !ok {
-			return nil, fmt.Errorf("shmrename: backend %q does not support leases", cfg.Backend)
+			return nil, fmt.Errorf("shmrename: backend %q does not support leases", b.Name)
 		}
 		a.initLease(rec, holder, shm.WallEpochs{},
 			recovery.NewSweeper(rec, recovery.Config{
@@ -725,6 +606,39 @@ func NewArena(cfg ArenaConfig) (*Arena, error) {
 		}
 	}
 	return a, nil
+}
+
+// backend resolves cfg.Backend through the backend registry — "" is
+// ArenaLevel, and ArenaLevel with Elastic set is ArenaElastic — and checks
+// each knob cfg sets against the resolved backend's capabilities.
+func (cfg *ArenaConfig) backend() (registry.Backend, error) {
+	name := cfg.Backend
+	if name == "" {
+		name = ArenaLevel
+	}
+	if name == ArenaLevel && cfg.Elastic != nil {
+		name = ArenaElastic
+	}
+	b, ok := registry.Lookup(string(name))
+	if !ok {
+		return b, fmt.Errorf("shmrename: unknown arena backend %q", cfg.Backend)
+	}
+	c := b.Caps
+	switch {
+	case c.External:
+		return b, fmt.Errorf("shmrename: backend %q is backed by external state; open it with OpenArena", name)
+	case c.DenseProcs:
+		return b, fmt.Errorf("shmrename: backend %q requires densely numbered process contexts (the simulated-harness model); it is not constructible behind the pooled-proc NewArena surface", name)
+	case cfg.Shards != 0 && !c.Sharded:
+		return b, fmt.Errorf("shmrename: ArenaConfig.Shards needs a sharded backend, got Shards=%d with backend %q", cfg.Shards, name)
+	case cfg.Elastic != nil && !c.Elastic && !c.Sharded:
+		return b, fmt.Errorf("shmrename: ArenaConfig.Elastic needs an elastic or sharded backend; backend %q is fixed-shape", name)
+	case c.Cached && cfg.LeaseBlocks != 0:
+		return b, fmt.Errorf("shmrename: backend %q already caches word blocks; ArenaConfig.LeaseBlocks does not apply", name)
+	case c.Cached && cfg.Probe == ProbeBit:
+		return b, fmt.Errorf("shmrename: backend %q leases whole bitmap words; it cannot combine with Probe %q", name, ProbeBit)
+	}
+	return b, nil
 }
 
 // initIntegrity wires the self-healing layer over the (already wired)

@@ -124,15 +124,18 @@ func TestArenaLeaseReaper(t *testing.T) {
 	if _, err := a.AcquireN(10); err != nil {
 		t.Fatal(err)
 	}
+	// Poll the counter, not Held: the sweeper frees names during a pass
+	// but adds to its counters only after it, so Held can read 0 while
+	// Reclaimed still reads 0.
 	deadline := time.Now().Add(5 * time.Second)
-	for a.Held() != 0 {
+	for a.Stats().Reclaimed < 10 {
 		if time.Now().After(deadline) {
 			t.Fatalf("reaper never reclaimed: %d still held, stats %+v", a.Held(), a.Stats())
 		}
 		time.Sleep(time.Millisecond)
 	}
-	if st := a.Stats(); st.Sweeps == 0 || st.Reclaimed != 10 {
-		t.Fatalf("stats %+v, want background sweeps and Reclaimed=10", st)
+	if st := a.Stats(); st.Sweeps == 0 || st.Reclaimed != 10 || a.Held() != 0 {
+		t.Fatalf("stats %+v with %d held, want background sweeps, Reclaimed=10 and nothing held", st, a.Held())
 	}
 	if err := a.Close(); err != nil { // stops the reaper
 		t.Fatal(err)

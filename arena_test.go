@@ -155,26 +155,43 @@ func TestArenaReleaseNotHeld(t *testing.T) {
 	}
 }
 
+// TestNewArenaConfigErrors: invalid configs are refused. A knob the
+// resolved backend's capabilities do not cover is refused too, and that
+// error names the backend it was refused for.
 func TestNewArenaConfigErrors(t *testing.T) {
-	cases := []ArenaConfig{
-		{Capacity: 0},
-		{Capacity: -3},
-		{Capacity: 1 << 29},
-		{Capacity: 8, Backend: "warp-array"},
-		{Capacity: 8, Probes: -1},
-		{Capacity: 8, Probe: "nibble"},
+	cases := []struct {
+		cfg     ArenaConfig
+		backend string // the backend the error must name, if any
+	}{
+		{ArenaConfig{Capacity: 0}, ""},
+		{ArenaConfig{Capacity: -3}, ""},
+		{ArenaConfig{Capacity: 1 << 29}, ""},
+		{ArenaConfig{Capacity: 8, Backend: "warp-array"}, "warp-array"},
+		{ArenaConfig{Capacity: 8, Probe: "nibble"}, ""},
 		// Sharded-backend knob validation.
-		{Capacity: 8, Backend: ArenaBackendSharded, Shards: -1},
-		{Capacity: 8, Backend: ArenaBackendSharded, Shards: 9},
-		{Capacity: 8, Backend: ArenaBackendSharded, StealProbes: -1},
-		// Sharded knobs rejected on non-sharded backends.
-		{Capacity: 8, Shards: 2},
-		{Capacity: 8, Backend: ArenaTau, Shards: 2},
-		{Capacity: 8, Backend: ArenaLevel, StealProbes: 1},
+		{ArenaConfig{Capacity: 8, Backend: ArenaBackendSharded, Shards: -1}, ""},
+		{ArenaConfig{Capacity: 8, Backend: ArenaBackendSharded, Shards: 9}, ""},
+		// Shards needs a sharded backend.
+		{ArenaConfig{Capacity: 8, Shards: 2}, "level-array"},
+		{ArenaConfig{Capacity: 8, Backend: ArenaTau, Shards: 2}, "tau-longlived"},
+		{ArenaConfig{Capacity: 128, Backend: ArenaElastic, Shards: 2}, "elastic-level"},
+		// Elastic needs an elastic or sharded backend.
+		{ArenaConfig{Capacity: 128, Backend: ArenaTau, Elastic: &ElasticConfig{}}, "tau-longlived"},
+		// A caching backend leases whole words and caches already.
+		{ArenaConfig{Capacity: 128, Backend: "lease-cached", LeaseBlocks: 64}, "lease-cached"},
+		{ArenaConfig{Capacity: 128, Backend: "lease-cached", Probe: ProbeBit}, "lease-cached"},
+		// External and dense-proc backends have other surfaces.
+		{ArenaConfig{Capacity: 8, Backend: "persist"}, "persist"},
+		{ArenaConfig{Capacity: 8, Backend: "exclusive-selection"}, "exclusive-selection"},
 	}
-	for i, cfg := range cases {
-		if _, err := NewArena(cfg); err == nil {
-			t.Fatalf("case %d accepted: %+v", i, cfg)
+	for i, c := range cases {
+		_, err := NewArena(c.cfg)
+		if err == nil {
+			t.Errorf("case %d accepted: %+v", i, c.cfg)
+			continue
+		}
+		if c.backend != "" && !strings.Contains(err.Error(), fmt.Sprintf("%q", c.backend)) {
+			t.Errorf("case %d: error %q does not name backend %q", i, err, c.backend)
 		}
 	}
 }

@@ -18,6 +18,7 @@ import (
 	"shmrename/internal/core"
 	"shmrename/internal/longlived"
 	"shmrename/internal/prng"
+	"shmrename/internal/registry"
 	"shmrename/internal/sched"
 	"shmrename/internal/sharded"
 	"shmrename/internal/shm"
@@ -393,13 +394,17 @@ func BenchmarkE13Adaptive(b *testing.B) {
 // successful acquire. The BENCH_2.json trajectory records the same
 // workload; see cmd/renamebench -bench2.
 func BenchmarkChurnSim(b *testing.B) {
-	for _, backend := range longlived.ChurnBackends() {
+	for _, name := range []string{"level-array", "tau-longlived"} {
+		backend, ok := registry.Lookup(name)
+		if !ok {
+			b.Fatalf("backend %q is not registered", name)
+		}
 		for _, n := range []int{1 << 10, 1 << 12, 1 << 14} {
-			b.Run(fmt.Sprintf("%s/n=%d", backend.Name, n), func(b *testing.B) {
+			b.Run(fmt.Sprintf("%s/n=%d", name, n), func(b *testing.B) {
 				k := n / 4
 				var steps float64
 				for i := 0; i < b.N; i++ {
-					arena := backend.Make(n)
+					arena := backend.New(registry.Config{Capacity: n})
 					mon := longlived.NewMonitor(arena.NameBound())
 					sched.Run(sched.Config{
 						N:         k,

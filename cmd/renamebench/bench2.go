@@ -17,6 +17,7 @@ import (
 	"testing"
 
 	"shmrename/internal/longlived"
+	"shmrename/internal/registry"
 	"shmrename/internal/sched"
 )
 
@@ -125,7 +126,14 @@ func runBench2(path string, seed uint64, maxExp int, against string) error {
 	}
 
 	churn := longlived.DefaultChurn
-	for _, w := range longlived.ChurnBackends() {
+	// The canonical churn pair, in report order: the registry builds its
+	// simulated-mode shapes (per-bit probes, self-clocked τ), which are the
+	// workload definition BENCH_2.json records.
+	for _, name := range []string{"level-array", "tau-longlived"} {
+		backend, ok := registry.Lookup(name)
+		if !ok {
+			return fmt.Errorf("bench2: backend %q is not registered", name)
+		}
 		for e := 8; e <= maxExp; e += 2 {
 			n := 1 << e
 			k := n / 4
@@ -137,7 +145,7 @@ func runBench2(path string, seed uint64, maxExp int, against string) error {
 			iters := 0
 			r := testing.Benchmark(func(b *testing.B) {
 				for i := 0; i < b.N; i++ {
-					arena := w.Make(n)
+					arena := backend.New(registry.Config{Capacity: n})
 					mon := longlived.NewMonitor(arena.NameBound())
 					sched.Run(sched.Config{
 						N:         k,
@@ -147,10 +155,10 @@ func runBench2(path string, seed uint64, maxExp int, against string) error {
 						AfterStep: arena.Clock(),
 					})
 					if err := mon.Err(); err != nil {
-						panic(fmt.Sprintf("bench2 %s n=%d: %v", w.Name, n, err))
+						panic(fmt.Sprintf("bench2 %s n=%d: %v", name, n, err))
 					}
 					if held := arena.Held(); held != 0 {
-						panic(fmt.Sprintf("bench2 %s n=%d: %d names held after drain", w.Name, n, held))
+						panic(fmt.Sprintf("bench2 %s n=%d: %d names held after drain", name, n, held))
 					}
 					steps += mon.StepsPerAcquire()
 					if m := mon.MaxName(); m > maxName {
@@ -163,7 +171,7 @@ func runBench2(path string, seed uint64, maxExp int, against string) error {
 				}
 			})
 			p := bench2Point{
-				Backend:         w.Name,
+				Backend:         name,
 				N:               n,
 				K:               k,
 				Cycles:          churn.Cycles,
@@ -176,7 +184,7 @@ func runBench2(path string, seed uint64, maxExp int, against string) error {
 			}
 			out.Results = append(out.Results, p)
 			fmt.Fprintf(os.Stderr, "bench2: %s n=%d k=%d: %.1fms/op, %.1f steps/acquire, max name %d @ %d active\n",
-				w.Name, n, k, p.NsPerOp/1e6, p.StepsPerAcquire, p.MaxName, p.MaxActive)
+				name, n, k, p.NsPerOp/1e6, p.StepsPerAcquire, p.MaxName, p.MaxActive)
 		}
 	}
 

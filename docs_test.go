@@ -7,8 +7,11 @@ package shmrename
 // checks.
 
 import (
+	"go/parser"
+	"go/token"
 	"os"
 	"path/filepath"
+	"reflect"
 	"regexp"
 	"strconv"
 	"strings"
@@ -96,6 +99,58 @@ func TestDocsNameRealExperiments(t *testing.T) {
 		"internal/exclusive", "internal/integrity", "internal/chaos"} {
 		if !strings.Contains(text, ref) {
 			t.Errorf("ALGORITHMS.md missing package reference %s", ref)
+		}
+	}
+}
+
+// configField matches a documented field of a public config or stats
+// type, such as ArenaConfig.Shards or shmrename.LeaseConfig.TTL. Another
+// package's qualifier (longlived.ElasticConfig.X) names a different type
+// and does not match.
+var configField = regexp.MustCompile(`(?:^|[^\w.])(?:shmrename\.)?(ArenaConfig|ElasticConfig|LeaseConfig|IntegrityConfig|ArenaStats)\.(\w+)`)
+
+// TestDocConfigFieldsExist checks that every config or stats field the
+// docs name exists: the root package's Go comments and README.md,
+// ALGORITHMS.md and PERF.md may not name a field that was removed or
+// renamed. CHANGES.md and ROADMAP.md hold history and plans, so they may.
+func TestDocConfigFieldsExist(t *testing.T) {
+	types := map[string]reflect.Type{
+		"ArenaConfig":     reflect.TypeFor[ArenaConfig](),
+		"ElasticConfig":   reflect.TypeFor[ElasticConfig](),
+		"LeaseConfig":     reflect.TypeFor[LeaseConfig](),
+		"IntegrityConfig": reflect.TypeFor[IntegrityConfig](),
+		"ArenaStats":      reflect.TypeFor[ArenaStats](),
+	}
+	check := func(where, text string) {
+		for _, m := range configField.FindAllStringSubmatch(text, -1) {
+			if _, ok := types[m[1]].FieldByName(m[2]); !ok {
+				t.Errorf("%s: names %s.%s, which is not a field", where, m[1], m[2])
+			}
+		}
+	}
+	goFiles, err := filepath.Glob("*.go")
+	if err != nil {
+		t.Fatal(err)
+	}
+	fset := token.NewFileSet()
+	for _, file := range goFiles {
+		f, err := parser.ParseFile(fset, file, nil, parser.ParseComments)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, group := range f.Comments {
+			for _, c := range group.List {
+				check(fset.Position(c.Pos()).String(), c.Text)
+			}
+		}
+	}
+	for _, file := range []string{"README.md", "ALGORITHMS.md", "PERF.md"} {
+		data, err := os.ReadFile(file)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, line := range strings.Split(string(data), "\n") {
+			check(file+":"+strconv.Itoa(i+1), line)
 		}
 	}
 }

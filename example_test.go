@@ -167,11 +167,13 @@ func ExampleNewArena_leased() {
 // the first acquire leases a whole 64-name block in one word-granular
 // claim, later acquires pop it thread-locally, and released names
 // recirculate through the worker's cache — steady-state churn stops
-// touching shared memory entirely. Provision capacity above the expected
-// peak holders: parked names are claimed but serve nobody.
+// touching shared memory almost entirely. Provision capacity above the
+// expected peak holders: parked names are claimed but serve nobody. Which
+// worker cache serves a call depends on the pooled context it runs on, so
+// the output below holds however many caches there are.
 func ExampleNewArena_leaseCache() {
 	arena, err := shmrename.NewArena(shmrename.ArenaConfig{
-		Capacity:    256,
+		Capacity:    4096,
 		Backend:     shmrename.ArenaBackendSharded,
 		Shards:      2,
 		LeaseBlocks: 64,
@@ -182,21 +184,27 @@ func ExampleNewArena_leaseCache() {
 	}
 	defer arena.Close()
 	a, _ := arena.Acquire() // leases a block: one backend claim
-	b, _ := arena.Acquire() // pops the block: no backend work
-	fmt.Println("distinct while held:", a != b)
 	fmt.Println("block leases:", arena.Stats().CacheRefills)
+	b, _ := arena.Acquire() // pops a parked name when its worker has one
+	fmt.Println("distinct while held:", a != b)
 	arena.Release(a)
 	arena.Release(b)
 	fmt.Println("held after release:", arena.Held())
-	if _, err := arena.Acquire(); err != nil {
-		panic(err)
+	for range 1000 {
+		n, err := arena.Acquire()
+		if err != nil {
+			panic(err)
+		}
+		arena.Release(n)
 	}
-	fmt.Println("recycled locally:", arena.Stats().CacheRefills == 1)
+	// Only block leases cost shared-memory steps; cache hits cost none.
+	st := arena.Stats()
+	fmt.Println("fewer steps than acquires:", st.AcquireSteps < st.Acquires)
 	// Output:
-	// distinct while held: true
 	// block leases: 1
+	// distinct while held: true
 	// held after release: 0
-	// recycled locally: true
+	// fewer steps than acquires: true
 }
 
 // ExampleNewArena_elastic turns on contention-proportional capacity: the

@@ -9,12 +9,12 @@ import (
 
 // elasticEnvelope is the residency ceiling a healthy elastic ladder may
 // reach after churn that peaked at `peak` simultaneous holders on a
-// capacity-n arena, under the default policy (Base 64, GrowAt 0.75). A
-// level is appended when occupancy crosses GrowAt of the resident prefix,
-// so growth stops at the first prefix whose trip clears the peak; the
-// failed-pass retry only ever fires with the resident prefix genuinely
-// full (occupancy == prefix <= peak), which the same loop covers. The
-// full ladder is the absolute ceiling either way.
+// capacity-n arena, under the default policy (a 64-name base level,
+// GrowAt 0.75). A level is appended when occupancy crosses GrowAt of the
+// resident prefix, so growth stops at the first prefix whose trip clears
+// the peak; the failed-pass retry only ever fires with the resident
+// prefix genuinely full (occupancy == prefix <= peak), which the same
+// loop covers. The full ladder is the absolute ceiling either way.
 func elasticEnvelope(capacity int, peak int64) int64 {
 	const base, growAt = 64, 0.75
 	var sizes []int

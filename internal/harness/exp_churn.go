@@ -15,10 +15,9 @@ import (
 // other workers' slots, breaking the every-worker-drains invariant) and no
 // external OS-backed arenas (native-only). A backend that registers with
 // those flags joins the E15 table with no change here; the enumeration
-// currently yields level-array, tau-longlived, sharded, and
-// exclusive-selection, a superset of the canonical
-// longlived.ChurnBackends pair whose (backend, n) rows BENCH_2.json
-// tracks.
+// currently yields elastic-level, exclusive-selection, level-array,
+// sharded and tau-longlived, a superset of the canonical level-array and
+// tau-longlived pair whose (backend, n) rows BENCH_2.json tracks.
 func e15Backends() []registry.Backend {
 	var out []registry.Backend
 	for _, b := range registry.All() {

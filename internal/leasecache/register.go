@@ -1,7 +1,6 @@
 package leasecache
 
 import (
-	"shmrename/internal/longlived"
 	"shmrename/internal/registry"
 	"shmrename/internal/sharded"
 )
@@ -25,24 +24,11 @@ func init() {
 		},
 		New: func(cfg registry.Config) registry.Arena {
 			// The production shape ArenaConfig.LeaseBlocks wires: per-worker
-			// word-block caches over the word-scan sharded frontend.
-			shards := 4
-			if shards > cfg.Capacity {
-				shards = cfg.Capacity
-			}
-			block := 64
-			if block > cfg.Capacity {
-				block = cfg.Capacity
-			}
-			inner := sharded.New(cfg.Capacity, sharded.Config{
-				Shards:    shards,
-				MaxPasses: cfg.MaxPasses,
-				WordScan:  true,
-				Padded:    true,
-				Lease:     longlived.Lease(cfg),
-				Label:     cfg.Label,
-			})
-			return New(inner, Config{Block: block})
+			// word-block caches over the word-scan sharded frontend, which
+			// honors Shards and Elastic like the "sharded" backend.
+			scfg := sharded.RegistryConfig(cfg)
+			scfg.WordScan = true // a block is one bitmap word
+			return New(sharded.New(cfg.Capacity, scfg), Config{Block: min(64, cfg.Capacity)})
 		},
 	})
 }

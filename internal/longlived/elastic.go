@@ -118,11 +118,12 @@ type elLevel struct {
 	state  atomic.Uint32
 }
 
-// ElasticConfig parameterizes an ElasticArena. The probe/scan/lease knobs
-// mirror LevelConfig; the resize knobs mirror registry.ElasticParams.
+// ElasticConfig parameterizes an ElasticArena. The scan/lease knobs mirror
+// LevelConfig; the resize knobs mirror registry.ElasticParams.
 type ElasticConfig struct {
 	// MinCapacity floors the resident ladder: the arena never drains below
-	// the level prefix covering it. Default Base, clamped to the capacity.
+	// the level prefix covering it. Default the smallest level (64 names),
+	// clamped to the capacity.
 	MinCapacity int
 	// GrowAt is the occupancy fraction of CapacityNow at which a
 	// successful acquire proactively appends the next level, in (0, 1).
@@ -135,12 +136,6 @@ type ElasticConfig struct {
 	// ShrinkAfter is the number of consecutive shrink-eligible release
 	// observations before a drain starts. Default 128.
 	ShrinkAfter int
-	// Probes is the number of random probes per active level before the
-	// deterministic backstop; with WordScan each probe draws among the
-	// level's lowest open words (see LevelConfig.WordScan). Default 4.
-	Probes int
-	// Base is the size of the smallest level. Default 64.
-	Base int
 	// MaxPasses bounds full Acquire passes before reporting the arena
 	// full; ladder-extending retries do not consume a pass. 0 means
 	// unlimited.
@@ -162,12 +157,6 @@ type ElasticConfig struct {
 }
 
 func (c *ElasticConfig) fill() {
-	if c.Probes <= 0 {
-		c.Probes = 4
-	}
-	if c.Base <= 0 {
-		c.Base = 64
-	}
 	if c.GrowAt == 0 {
 		c.GrowAt = 0.75
 	}
@@ -206,7 +195,7 @@ func NewElastic(capacity int, cfg ElasticConfig) *ElasticArena {
 		panic(fmt.Sprintf("longlived: ElasticConfig.MinCapacity must be >= 0, got %d", cfg.MinCapacity))
 	}
 	a := &ElasticArena{cfg: cfg, cap: capacity}
-	for size := cfg.Base; size < capacity; size *= 2 {
+	for size := levelBase; size < capacity; size *= 2 {
 		a.sizes = append(a.sizes, size)
 		a.base = append(a.base, a.bound)
 		a.bound += size
@@ -217,7 +206,7 @@ func NewElastic(capacity int, cfg ElasticConfig) *ElasticArena {
 	a.levels = make([]atomic.Pointer[elLevel], len(a.sizes))
 	minCap := cfg.MinCapacity
 	if minCap == 0 {
-		minCap = cfg.Base
+		minCap = levelBase
 	}
 	if minCap > capacity {
 		minCap = capacity
@@ -310,7 +299,7 @@ func (a *ElasticArena) Label() string {
 		scan = "word"
 	}
 	return fmt.Sprintf("elastic-level(levels=%d/%d,probes=%d,scan=%s)",
-		a.activeLevels(), len(a.levels), a.cfg.Probes, scan)
+		a.activeLevels(), len(a.levels), levelProbes, scan)
 }
 
 // Capacity implements Arena: the guarantee, reached through growth.
@@ -621,7 +610,7 @@ func (a *ElasticArena) Acquire(p *shm.Proc) int {
 				if lvl.space.Saturated() {
 					continue
 				}
-				for t := 0; t < a.cfg.Probes; t++ {
+				for t := 0; t < levelProbes; t++ {
 					w := lvl.space.ProbeWord(r)
 					if w < 0 {
 						break
@@ -633,7 +622,7 @@ func (a *ElasticArena) Acquire(p *shm.Proc) int {
 					}
 				}
 			} else {
-				for t := 0; t < a.cfg.Probes; t++ {
+				for t := 0; t < levelProbes; t++ {
 					i := r.Intn(lvl.size)
 					if claim(p, lvl.space, i, stamp) {
 						if name, ok := a.granted(p, lvl, i); ok {
@@ -755,7 +744,7 @@ func (a *ElasticArena) AcquireN(p *shm.Proc, k int, out []int) []int {
 			if lvl == nil || lvl.state.Load() != elActive || lvl.space.Saturated() {
 				continue
 			}
-			for t := 0; k > 0 && t < a.cfg.Probes; t++ {
+			for t := 0; k > 0 && t < levelProbes; t++ {
 				w := lvl.space.ProbeWord(r)
 				if w < 0 {
 					break

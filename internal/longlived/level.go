@@ -9,14 +9,19 @@ import (
 	"shmrename/internal/shm"
 )
 
+// The level ladder's shape, shared by LevelArena and ElasticArena: the
+// LevelArray (arXiv:1405.5461) probes each level a constant number of
+// times before falling through, and the smallest level is one word.
+const (
+	// levelProbes is the number of random probes per non-backstop level
+	// before an acquire falls through to the next.
+	levelProbes = 4
+	// levelBase is the size of the smallest level: one packed bitmap word.
+	levelBase = 64
+)
+
 // LevelConfig parameterizes a LevelArena.
 type LevelConfig struct {
-	// Probes is the number of random TAS probes per non-backstop level
-	// before falling through to the next. Default 4.
-	Probes int
-	// Base is the size of the smallest level. Default 64 (one packed
-	// bitmap word).
-	Base int
 	// MaxPasses bounds full Acquire passes before reporting the arena
 	// full; 0 means unlimited (simulated runs rely on the scheduler's step
 	// budget instead).
@@ -43,12 +48,6 @@ type LevelConfig struct {
 }
 
 func (c *LevelConfig) fill() {
-	if c.Probes <= 0 {
-		c.Probes = 4
-	}
-	if c.Base <= 0 {
-		c.Base = 64
-	}
 	if c.Label == "" {
 		c.Label = "arena"
 	}
@@ -97,9 +96,9 @@ func NewLevel(capacity int, cfg LevelConfig) *LevelArena {
 		mkSpace = shm.NewNameSpacePadded
 	}
 	a := &LevelArena{cfg: cfg, cap: capacity}
-	// Geometric ladder: Base, 2·Base, 4·Base, ... strictly below capacity,
-	// then the capacity-sized backstop.
-	for size := cfg.Base; size < capacity; size *= 2 {
+	// Geometric ladder: levelBase, 2·levelBase, ... strictly below
+	// capacity, then the capacity-sized backstop.
+	for size := levelBase; size < capacity; size *= 2 {
 		a.addLevel(mkSpace, size)
 	}
 	a.addLevel(mkSpace, capacity)
@@ -125,7 +124,7 @@ func (a *LevelArena) Label() string {
 	if a.cfg.WordScan {
 		scan = "word"
 	}
-	return fmt.Sprintf("level-array(levels=%d,probes=%d,scan=%s)", len(a.levels), a.cfg.Probes, scan)
+	return fmt.Sprintf("level-array(levels=%d,probes=%d,scan=%s)", len(a.levels), levelProbes, scan)
 }
 
 // Capacity implements Arena.
@@ -188,7 +187,7 @@ func (a *LevelArena) Acquire(p *shm.Proc) int {
 	backstop := len(a.levels) - 1
 	for pass := 0; a.cfg.MaxPasses == 0 || pass < a.cfg.MaxPasses; pass++ {
 		for li, lvl := range a.levels {
-			for t := 0; t < a.cfg.Probes; t++ {
+			for t := 0; t < levelProbes; t++ {
 				i := r.Intn(lvl.Size())
 				if a.tryClaim(p, lvl, i, stamp) {
 					return a.base[li] + i
@@ -228,7 +227,7 @@ func (a *LevelArena) acquireWord(p *shm.Proc) int {
 			if lvl.Saturated() {
 				continue
 			}
-			for t := 0; t < a.cfg.Probes; t++ {
+			for t := 0; t < levelProbes; t++ {
 				w := lvl.ProbeWord(r)
 				if w < 0 {
 					break
@@ -274,7 +273,7 @@ func (a *LevelArena) AcquireN(p *shm.Proc, k int, out []int) []int {
 			if lvl.Saturated() {
 				continue
 			}
-			for t := 0; k > 0 && t < a.cfg.Probes; t++ {
+			for t := 0; k > 0 && t < levelProbes; t++ {
 				w := lvl.ProbeWord(r)
 				if w < 0 {
 					break

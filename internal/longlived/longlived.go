@@ -203,25 +203,6 @@ type ChurnConfig struct {
 // three surfaces silently diverge.
 var DefaultChurn = ChurnConfig{Cycles: 4, HoldMin: 0, HoldMax: 8}
 
-// Backend pairs an arena backend's report name with its constructor, for
-// code that sweeps every implementation.
-type Backend struct {
-	Name string
-	Make func(capacity int) Arena
-}
-
-// ChurnBackends returns the canonical backend set of the churn workload,
-// in report order. The τ arena is deliberately self-clocked — observably
-// equivalent to external clocking in simulated runs and cheaper, and part
-// of the canonical workload definition BENCH_2.json records (switching the
-// clocking changes step counts, just like editing DefaultChurn would).
-func ChurnBackends() []Backend {
-	return []Backend{
-		{"level-array", func(n int) Arena { return NewLevel(n, LevelConfig{}) }},
-		{"tau-longlived", func(n int) Arena { return NewTau(n, TauConfig{SelfClocked: true}) }},
-	}
-}
-
 // BatchChurnBody returns a churn body that cycles whole batches: AcquireN
 // of batch names, a seeded-random number of holding Touch steps, then
 // ReleaseN of the batch. It is the workload of experiment E17 and the

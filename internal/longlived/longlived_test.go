@@ -97,7 +97,7 @@ func TestReleaseOutOfRangePanics(t *testing.T) {
 }
 
 func TestLevelGeometry(t *testing.T) {
-	a := NewLevel(1024, LevelConfig{Base: 64, Label: "t-geom"})
+	a := NewLevel(1024, LevelConfig{Label: "t-geom"})
 	// Ladder 64,128,256,512 then the 1024 backstop.
 	if got := a.Levels(); got != 5 {
 		t.Fatalf("levels = %d, want 5", got)
@@ -105,8 +105,9 @@ func TestLevelGeometry(t *testing.T) {
 	if got := a.NameBound(); got != 64+128+256+512+1024 {
 		t.Fatalf("name bound = %d", got)
 	}
-	// Capacity below Base degenerates to a single backstop level.
-	small := NewLevel(8, LevelConfig{Base: 64, Label: "t-geom-s"})
+	// Capacity below the 64-name base level degenerates to a single
+	// backstop level.
+	small := NewLevel(8, LevelConfig{Label: "t-geom-s"})
 	if small.Levels() != 1 || small.NameBound() != 8 {
 		t.Fatalf("small arena: levels=%d bound=%d", small.Levels(), small.NameBound())
 	}

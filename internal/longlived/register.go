@@ -23,9 +23,11 @@ func Lease(cfg registry.Config) *LeaseOpts {
 }
 
 // The registered constructors build the canonical simulated-mode shapes —
-// the per-bit probe path ChurnBackends has always measured (BENCH_2.json's
-// workload definition), with self-clocked τ — so the registry rows of the
-// E15 churn experiment stay comparable with the recorded trajectories.
+// the per-bit probe path BENCH_2.json's churn workload measures, with
+// self-clocked τ (observably equivalent to external clocking in simulated
+// runs and cheaper; switching it changes step counts) — so the registry
+// rows of the E15 churn experiment stay comparable with the recorded
+// trajectories.
 // All three backends implement the bit and word scan engines, so they
 // honor the Config.Scan override (the E17 word-vs-bit matrix sweeps it) and
 // the Padded knob for native multicore runs. "elastic-level" additionally

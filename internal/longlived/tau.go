@@ -9,17 +9,9 @@ import (
 	"shmrename/internal/taureg"
 )
 
-// TauConfig parameterizes a TauArena.
+// TauConfig parameterizes a TauArena. The device shape is not a knob: it
+// is the paper's, derived from the capacity (see NewTau).
 type TauConfig struct {
-	// Width is the per-device TAS-bit count (the paper's 2·log n).
-	// Default: 2·⌈log₂ capacity⌉ clamped to [8, 64].
-	Width int
-	// Tau is the per-device confirmation threshold and block size (the
-	// paper's τ = log n). Default Width/2. Must satisfy 1 <= Tau <= Width.
-	Tau int
-	// Probes is the number of random (device, bit) acquisition attempts
-	// before the deterministic fallback sweep. Default Width.
-	Probes int
 	// MaxPasses bounds fallback sweep passes before reporting the arena
 	// full; 0 means unlimited.
 	MaxPasses int
@@ -51,26 +43,7 @@ type TauConfig struct {
 	Label string
 }
 
-func (c *TauConfig) fill(capacity int) {
-	if c.Width <= 0 {
-		w := 2 * ceilLog2(capacity)
-		if w < 8 {
-			w = 8
-		}
-		if w > taureg.MaxWidth {
-			w = taureg.MaxWidth
-		}
-		c.Width = w
-	}
-	if c.Tau <= 0 {
-		c.Tau = c.Width / 2
-	}
-	if c.Tau > c.Width {
-		panic(fmt.Sprintf("longlived: tau %d exceeds width %d", c.Tau, c.Width))
-	}
-	if c.Probes <= 0 {
-		c.Probes = c.Width
-	}
+func (c *TauConfig) fill() {
 	if c.Label == "" {
 		c.Label = "tauarena"
 	}
@@ -99,10 +72,14 @@ func ceilLog2(n int) int {
 // uniformly and falls back to a deterministic sweep, mirroring the
 // LevelArena's backstop.
 type TauArena struct {
-	cfg     TauConfig
-	cap     int
-	devices []*taureg.Device
-	names   *shm.NameSpace
+	cfg TauConfig
+	cap int
+	// width is the per-device TAS-bit count and random-probe budget (the
+	// paper's 2·log n); tau is the per-device threshold and block size
+	// (τ = log n).
+	width, tau int
+	devices    []*taureg.Device
+	names      *shm.NameSpace
 	// bitOf[name] records which device bit the name's current holder won
 	// (+1, 0 = unset). Written by the holder between winning the name and
 	// releasing it; the atomic store orders it against the name bit.
@@ -116,13 +93,17 @@ var _ Arena = (*TauArena)(nil)
 var _ Recoverable = (*TauArena)(nil)
 
 // NewTau builds a τ-register arena guaranteeing capacity concurrent
-// holders.
+// holders. Each device has width 2·⌈log₂ capacity⌉ TAS bits, clamped to
+// [8, 64], and threshold τ = width/2; an acquire makes width random
+// (device, bit) attempts before the deterministic fallback sweep.
 func NewTau(capacity int, cfg TauConfig) *TauArena {
 	if capacity < 1 {
 		panic("longlived: capacity must be >= 1")
 	}
-	cfg.fill(capacity)
-	nd := (capacity + cfg.Tau - 1) / cfg.Tau
+	cfg.fill()
+	width := min(max(2*ceilLog2(capacity), 8), taureg.MaxWidth)
+	tau := width / 2
+	nd := (capacity + tau - 1) / tau
 	mkSpace := shm.NewNameSpace
 	if cfg.Padded {
 		mkSpace = shm.NewNameSpacePadded
@@ -130,13 +111,15 @@ func NewTau(capacity int, cfg TauConfig) *TauArena {
 	a := &TauArena{
 		cfg:     cfg,
 		cap:     capacity,
+		width:   width,
+		tau:     tau,
 		devices: make([]*taureg.Device, nd),
-		names:   mkSpace(cfg.Label+":names", nd*cfg.Tau),
-		bitOf:   make([]atomic.Int32, nd*cfg.Tau),
+		names:   mkSpace(cfg.Label+":names", nd*tau),
+		bitOf:   make([]atomic.Int32, nd*tau),
 	}
 	for d := range a.devices {
 		a.devices[d] = taureg.NewDevice(fmt.Sprintf("%s:dev%d", cfg.Label, d),
-			cfg.Width, cfg.Tau, cfg.SelfClocked)
+			width, tau, cfg.SelfClocked)
 	}
 	if cfg.Lease.enabled() {
 		a.stamps = shm.NewStamps(cfg.Label+":lease", a.names.Size())
@@ -152,7 +135,7 @@ func (a *TauArena) Label() string {
 		scan = "word"
 	}
 	return fmt.Sprintf("tau-longlived(devices=%d,w=%d,tau=%d,scan=%s)",
-		len(a.devices), a.cfg.Width, a.cfg.Tau, scan)
+		len(a.devices), a.width, a.tau, scan)
 }
 
 // Capacity implements Arena.
@@ -168,7 +151,7 @@ func (a *TauArena) NumDevices() int { return len(a.devices) }
 func (a *TauArena) Device(d int) *taureg.Device { return a.devices[d] }
 
 // Tau returns the per-device threshold (diagnostics).
-func (a *TauArena) Tau() int { return a.cfg.Tau }
+func (a *TauArena) Tau() int { return a.tau }
 
 // leaseStamp returns the proc's current lease stamp, or 0 with leases off.
 func (a *TauArena) leaseStamp(p *shm.Proc) uint64 {
@@ -183,11 +166,11 @@ func (a *TauArena) Acquire(p *shm.Proc) int {
 	stamp := a.leaseStamp(p)
 	r := p.Rand()
 	nd := len(a.devices)
-	for t := 0; t < a.cfg.Probes; t++ {
+	for t := 0; t < a.width; t++ {
 		d := r.Intn(nd)
-		b := r.Intn(a.cfg.Width)
+		b := r.Intn(a.width)
 		if a.devices[d].AcquireBit(p, b) == taureg.Won {
-			return a.claimName(p, d, b, r.Intn(a.cfg.Tau), stamp)
+			return a.claimName(p, d, b, r.Intn(a.tau), stamp)
 		}
 	}
 	// Deterministic fallback sweep, the termination guarantee: walk the
@@ -199,7 +182,7 @@ func (a *TauArena) Acquire(p *shm.Proc) int {
 				continue
 			}
 			in := dev.ReadRequests(p)
-			for b := 0; b < a.cfg.Width; b++ {
+			for b := 0; b < a.width; b++ {
 				if in&(uint64(1)<<b) != 0 {
 					continue
 				}
@@ -221,7 +204,7 @@ func (a *TauArena) Acquire(p *shm.Proc) int {
 // through word snapshots (ClaimFirstFreeRange): at most ⌈τ/64⌉+1 steps per
 // attempt instead of τ single-bit probes.
 func (a *TauArena) claimName(p *shm.Proc, d, bit, start int, stamp uint64) int {
-	tau := a.cfg.Tau
+	tau := a.tau
 	base := d * tau
 	if a.cfg.WordScan {
 		for {
@@ -261,7 +244,7 @@ func (a *TauArena) claimName(p *shm.Proc, d, bit, start int, stamp uint64) int {
 // grant returns the residue before recording its own bit.
 func (a *TauArena) recordBit(p *shm.Proc, name, bit int) {
 	if old := a.bitOf[name].Swap(int32(bit)+1) - 1; old >= 0 {
-		a.devices[name/a.cfg.Tau].ReleaseBit(p, int(old))
+		a.devices[name/a.tau].ReleaseBit(p, int(old))
 	}
 }
 
@@ -296,7 +279,7 @@ func (a *TauArena) Release(p *shm.Proc, name int) {
 		// Held() drain checks surface violations in tests.
 		return
 	}
-	dev := a.devices[name/a.cfg.Tau]
+	dev := a.devices[name/a.tau]
 	if a.stamps == nil {
 		a.names.Free(p, name)
 		dev.ReleaseBit(p, int(b))
@@ -350,7 +333,7 @@ func (a *TauArena) LeaseDomains() []LeaseDomain {
 		IsHeld: a.IsHeld,
 		Reclaim: func(p *shm.Proc, i int) {
 			if b := a.bitOf[i].Swap(0) - 1; b >= 0 {
-				a.devices[i/a.cfg.Tau].ReleaseBit(p, int(b))
+				a.devices[i/a.tau].ReleaseBit(p, int(b))
 			}
 			a.names.Free(p, i)
 		},

@@ -244,9 +244,10 @@ type Config struct {
 	// backend default. Unsharded backends ignore it.
 	Shards int
 	// Elastic overrides the resize thresholds of elastic backends (zero
-	// fields select the backend defaults); non-elastic backends ignore it.
-	// The ladder maximum is always Capacity — the capacity guarantee is
-	// reached through growth.
+	// fields select the backend defaults), and makes sharded backends
+	// stripe elastic sub-arenas; other backends ignore it. The ladder
+	// maximum is always Capacity — the capacity guarantee is reached
+	// through growth.
 	Elastic *ElasticParams
 }
 

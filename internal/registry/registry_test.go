@@ -2,6 +2,7 @@ package registry_test
 
 import (
 	"sort"
+	"strings"
 	"testing"
 
 	"shmrename/internal/registry"
@@ -87,7 +88,10 @@ func TestRegisterRejectsDuplicates(t *testing.T) {
 }
 
 // TestConstructorsHonorConfig spot-checks that every registered (in-process)
-// constructor respects the common capacity knob.
+// constructor respects the common capacity knob, and the stripe-count and
+// elasticity knobs its capabilities promise: a Sharded backend stripes
+// Config.Shards ways, and an Elastic or Sharded backend built with
+// Config.Elastic starts with less resident capacity than it guarantees.
 func TestConstructorsHonorConfig(t *testing.T) {
 	for _, b := range registry.All() {
 		if b.Caps.External {
@@ -99,6 +103,23 @@ func TestConstructorsHonorConfig(t *testing.T) {
 		}
 		if a.NameBound() < 32 {
 			t.Errorf("%s: name bound %d below capacity", b.Name, a.NameBound())
+		}
+		if b.Caps.Sharded {
+			a := b.New(registry.Config{Capacity: 32, Shards: 2, Label: "t-reg-s-" + b.Name})
+			if !strings.Contains(a.Label(), "shards=2") {
+				t.Errorf("%s: built with Shards 2, labelled %q", b.Name, a.Label())
+			}
+		}
+		if b.Caps.Elastic || b.Caps.Sharded {
+			a := b.New(registry.Config{Capacity: 4096, Elastic: &registry.ElasticParams{}, Label: "t-reg-e-" + b.Name})
+			el, ok := a.(registry.Elastic)
+			if !ok {
+				t.Errorf("%s: built with Elastic, %T does not implement registry.Elastic", b.Name, a)
+				continue
+			}
+			if el.CapacityNow() >= a.Capacity() {
+				t.Errorf("%s: built with Elastic, CapacityNow %d is not below Capacity %d", b.Name, el.CapacityNow(), a.Capacity())
+			}
 		}
 	}
 }

@@ -13,6 +13,27 @@ import (
 // E18 fault-injection shape.
 const registryShards = 4
 
+// RegistryConfig translates the registry's common config into the
+// frontend's, for this package's registration and for the caching layers
+// registered over it: Shards defaults to registryShards and is clamped to
+// Capacity, Elastic stripes elastic sub-arenas, and the word engine scans
+// unless Scan asks for "bit".
+func RegistryConfig(cfg registry.Config) Config {
+	shards := cfg.Shards
+	if shards == 0 {
+		shards = registryShards
+	}
+	return Config{
+		Shards:    min(shards, cfg.Capacity),
+		MaxPasses: cfg.MaxPasses,
+		WordScan:  cfg.Scan != "bit",
+		Padded:    true,
+		Lease:     longlived.Lease(cfg),
+		Elastic:   cfg.Elastic,
+		Label:     cfg.Label,
+	}
+}
+
 func init() {
 	registry.Register(registry.Backend{
 		Name: "sharded",
@@ -26,21 +47,7 @@ func init() {
 			SelfHealing:   true,
 		},
 		New: func(cfg registry.Config) registry.Arena {
-			shards := cfg.Shards
-			if shards == 0 {
-				shards = registryShards
-			}
-			if shards > cfg.Capacity {
-				shards = cfg.Capacity
-			}
-			return New(cfg.Capacity, Config{
-				Shards:    shards,
-				MaxPasses: cfg.MaxPasses,
-				WordScan:  cfg.Scan != "bit",
-				Padded:    true,
-				Lease:     longlived.Lease(cfg),
-				Label:     cfg.Label,
-			})
+			return New(cfg.Capacity, RegistryConfig(cfg))
 		},
 	})
 }

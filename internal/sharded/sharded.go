@@ -22,7 +22,7 @@
 //  1. Home shard: every process has a cached home-shard affinity (its last
 //     success site, seeded by PID modulo S). One bounded pass over the home
 //     sub-arena resolves the common case with zero cross-shard traffic.
-//  2. Work stealing: on a full home shard, up to StealProbes randomly
+//  2. Work stealing: on a full home shard, up to stealProbes (2) randomly
 //     chosen other shards are each tried with one bounded pass. A hit
 //     migrates the affinity, so load imbalance self-corrects.
 //  3. Full sweep: deterministic rotation over all shards starting at the
@@ -103,19 +103,12 @@ type Config struct {
 	// Shards is the stripe count S (required, >= 1). Each shard is an
 	// independent sub-arena guaranteeing ⌈capacity/S⌉ concurrent holders.
 	Shards int
-	// StealProbes is the number of randomly chosen other shards tried
-	// after the home shard fails, before the deterministic full sweep.
-	// Default 2.
-	StealProbes int
 	// MaxPasses bounds full sweeps over all shards before Acquire reports
 	// the arena full; 0 means unlimited (simulated runs rely on the
 	// scheduler's step budget instead).
 	MaxPasses int
 	// Sub selects the per-shard backend. Default SubLevel.
 	Sub SubBackend
-	// Probes is forwarded to each sub-arena (longlived.LevelConfig.Probes
-	// or longlived.TauConfig.Probes). 0 selects the sub-arena default.
-	Probes int
 	// WordScan forwards the word-granular claim engine to every sub-arena
 	// (longlived.LevelConfig.WordScan / TauConfig.WordScan): probes and
 	// backstops run one snapshot-scan-CAS per bitmap word, and batch
@@ -144,13 +137,14 @@ type Config struct {
 }
 
 func (c *Config) fill() {
-	if c.StealProbes <= 0 {
-		c.StealProbes = 2
-	}
 	if c.Label == "" {
 		c.Label = "sharded"
 	}
 }
+
+// stealProbes is the number of randomly chosen other shards an acquire
+// tries after its home shard fails, before the deterministic full sweep.
+const stealProbes = 2
 
 // affinitySlots sizes the home-shard affinity cache. It is a power of two;
 // processes hash into it by PID, and a collision merely shares a
@@ -214,7 +208,6 @@ func New(capacity int, cfg Config) *Arena {
 					GrowAt:      e.GrowAt,
 					ShrinkAt:    e.ShrinkAt,
 					ShrinkAfter: e.ShrinkAfter,
-					Probes:      cfg.Probes,
 					MaxPasses:   1, // one bounded pass per frontend attempt
 					WordScan:    cfg.WordScan,
 					Padded:      cfg.Padded,
@@ -224,7 +217,6 @@ func New(capacity int, cfg Config) *Arena {
 				break
 			}
 			sub = longlived.NewLevel(subCap, longlived.LevelConfig{
-				Probes:    cfg.Probes,
 				MaxPasses: 1, // one bounded pass per frontend attempt
 				WordScan:  cfg.WordScan,
 				Padded:    cfg.Padded,
@@ -236,7 +228,6 @@ func New(capacity int, cfg Config) *Arena {
 				panic("sharded: Config.Elastic requires the SubLevel sub-backend")
 			}
 			sub = longlived.NewTau(subCap, longlived.TauConfig{
-				Probes:      cfg.Probes,
 				MaxPasses:   1,
 				WordScan:    cfg.WordScan,
 				SelfClocked: true,
@@ -270,7 +261,7 @@ func (a *Arena) Label() string {
 		scan = "word"
 	}
 	return fmt.Sprintf("sharded-%s(shards=%d,steal=%d,scan=%s)",
-		a.cfg.Sub, len(a.shards), a.cfg.StealProbes, scan)
+		a.cfg.Sub, len(a.shards), stealProbes, scan)
 }
 
 // Capacity implements longlived.Arena.
@@ -366,7 +357,7 @@ func (a *Arena) Acquire(p *shm.Proc) int {
 	}
 	if nS > 1 {
 		r := p.Rand()
-		for t := 0; t < a.cfg.StealProbes; t++ {
+		for t := 0; t < stealProbes; t++ {
 			// Pick uniformly among the other shards, excluding home; a
 			// hinted-full pick consumes the probe without paying steps.
 			v := (h + 1 + r.Intn(nS-1)) % nS
@@ -447,7 +438,7 @@ func (a *Arena) AcquireN(p *shm.Proc, k int, out []int) []int {
 	}
 	if nS > 1 {
 		r := p.Rand()
-		for t := 0; t < a.cfg.StealProbes; t++ {
+		for t := 0; t < stealProbes; t++ {
 			v := (h + 1 + r.Intn(nS-1)) % nS
 			if a.ShardOccupied(v) {
 				continue

@@ -27,10 +27,11 @@ import (
 // re-grantable immediately. Call Heartbeat more often than once per TTL
 // while holding names, and Close to detach.
 //
-// The persisted namespace is a flat bitmap: cfg.Backend, Shards,
-// StealProbes, Probes, and Elastic must be zero — cross-process churn is
-// dominated by page coherence, not probe schedules, and a flat map with a
-// fixed on-disk geometry keeps every attach trivially checkable.
+// The persisted namespace is a flat bitmap: cfg.Backend, Shards, Elastic
+// and LeaseBlocks must be zero and Probe word-granular — cross-process
+// churn is dominated by page coherence, not probe schedules, and a flat
+// map with a fixed on-disk geometry keeps every attach trivially
+// checkable.
 func OpenArena(path string, cfg ArenaConfig) (*Arena, error) {
 	if cfg.Capacity < 1 {
 		return nil, errors.New("shmrename: ArenaConfig.Capacity must be >= 1")
@@ -38,8 +39,8 @@ func OpenArena(path string, cfg ArenaConfig) (*Arena, error) {
 	if cfg.Backend != "" {
 		return nil, fmt.Errorf("shmrename: OpenArena namespaces are flat; Backend %q is not configurable", cfg.Backend)
 	}
-	if cfg.Shards != 0 || cfg.StealProbes != 0 || cfg.Probes != 0 {
-		return nil, fmt.Errorf("shmrename: OpenArena namespaces are flat; Shards/StealProbes/Probes are not configurable")
+	if cfg.Shards != 0 {
+		return nil, fmt.Errorf("shmrename: OpenArena namespaces are flat; Shards is not configurable")
 	}
 	if cfg.Elastic != nil {
 		// The mmap'd file's geometry (header-checked on every attach) is

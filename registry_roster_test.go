@@ -13,9 +13,9 @@ import (
 // (the pooled public proc contexts violate their model), and no caching
 // layers (their parked names break the tests' exact held-count oracles;
 // the conformance suite covers them with cache-aware laws). Today the
-// enumeration yields level-array, tau-longlived, and sharded — and a new
-// backend registering with those capabilities joins every storm, lease,
-// and batch test with no edits to their loops.
+// enumeration yields elastic-level, level-array, sharded and
+// tau-longlived — and a new backend registering with those capabilities
+// joins every storm, lease, and batch test with no edits to their loops.
 func stormBackends() []ArenaBackend {
 	var out []ArenaBackend
 	for _, b := range registry.All() {
@@ -43,7 +43,7 @@ func TestStormBackendsRoster(t *testing.T) {
 	for _, b := range stormBackends() {
 		got[b] = true
 	}
-	for _, want := range []ArenaBackend{ArenaLevel, ArenaTau, ArenaBackendSharded} {
+	for _, want := range []ArenaBackend{ArenaLevel, ArenaTau, ArenaElastic, ArenaBackendSharded} {
 		if !got[want] {
 			t.Errorf("stormBackends missing %q; roster %v", want, stormBackends())
 		}
