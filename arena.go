@@ -28,8 +28,11 @@ const (
 	// ArenaLevel is the LevelArray-style arena: levels of geometrically
 	// growing packed TAS bitmaps, random probes falling through to a
 	// deterministic backstop scan. Issued names track the instantaneous
-	// occupancy; with ProbeWord, probes draw among each level's lowest open
-	// words, so they stay within a few words of it. The default.
+	// occupancy; with ProbeWord, probes take each level's lowest open word
+	// (first fit) until a claim is lost to a concurrent claimant, and only
+	// then draw among its 4 lowest open words, so names stay within a few
+	// words of the live count and, without contention, below it. The
+	// default.
 	ArenaLevel ArenaBackend = "level-array"
 	// ArenaTau is the long-lived adaptation of the paper's τ-register
 	// algorithm: counting devices front blocks of names, and releases
@@ -62,11 +65,12 @@ const (
 	// ProbeAuto selects the default for the execution surface: the public
 	// arena runs natively, so it gets the word-granular engine (ProbeWord).
 	ProbeAuto ProbeMode = ""
-	// ProbeWord is the word-granular claim engine: probes pick one of a
-	// level's lowest open 64-name bitmap words, snapshot it and claim a
-	// free bit in one CAS, fallback scans walk words instead of names, and
-	// batch acquires claim up to 64 names per shared-memory access. The
-	// default.
+	// ProbeWord is the word-granular claim engine: a probe picks a level's
+	// lowest open 64-name bitmap word, snapshots it and claims a free bit
+	// in one CAS; after a claim is lost, the caller's probes draw among the
+	// level's 4 lowest open words instead, until an acquire completes
+	// without a loss. Fallback scans walk words instead of names, and batch
+	// acquires claim up to 64 names per shared-memory access. The default.
 	ProbeWord ProbeMode = "word"
 	// ProbeBit is the paper's per-bit probe path: every probe is a single
 	// TAS on one name. It matches the deterministic simulator's golden

@@ -584,7 +584,9 @@ func claimUpTo(p *shm.Proc, s *shm.NameSpace, w, k int, stamp uint64) uint64 {
 }
 
 // Acquire implements Arena: read the ladder word, probe the active levels
-// from the floor hint, then a deterministic bottom-up backstop scan over
+// from the floor hint (with WordScan, first fit until a claim comes back
+// empty or bounces off a draining level, then the 4-word window, as in
+// LevelArena.acquireWord), then a deterministic bottom-up backstop scan over
 // every active level (the termination guarantee — when the ladder is fully
 // grown its final level alone seats the full capacity). A failed full pass
 // extends the ladder (or cancels a pending drain, or waits out another
@@ -594,6 +596,8 @@ func claimUpTo(p *shm.Proc, s *shm.NameSpace, w, k int, stamp uint64) uint64 {
 func (a *ElasticArena) Acquire(p *shm.Proc) int {
 	stamp := a.leaseStamp(p)
 	r := p.Rand()
+	wide := p.LostClaim()
+	p.SetLostClaim(false)
 	regrown := 0
 	for pass := 0; a.cfg.MaxPasses == 0 || pass < a.cfg.MaxPasses; {
 		act := a.activeLevels()
@@ -611,7 +615,7 @@ func (a *ElasticArena) Acquire(p *shm.Proc) int {
 					continue
 				}
 				for t := 0; t < levelProbes; t++ {
-					w := lvl.space.ProbeWord(r)
+					w := lvl.space.ProbeWord(r, wide)
 					if w < 0 {
 						break
 					}
@@ -620,6 +624,8 @@ func (a *ElasticArena) Acquire(p *shm.Proc) int {
 							return name
 						}
 					}
+					wide = true
+					p.SetLostClaim(true)
 				}
 			} else {
 				for t := 0; t < levelProbes; t++ {
@@ -717,8 +723,9 @@ func (a *ElasticArena) grantMask(p *shm.Proc, lvl *elLevel, w int, won uint64, o
 
 // AcquireN implements Arena. With WordScan the batch walks the active
 // ladder claiming up to 64 names per step (each claimed mask revalidated
-// against the level state as one unit); without it the batch degenerates
-// to k independent Acquires, exactly like the fixed arena.
+// against the level state as one unit), its probes first fit until one
+// wins nothing, as in Acquire; without it the batch degenerates to k
+// independent Acquires, exactly like the fixed arena.
 func (a *ElasticArena) AcquireN(p *shm.Proc, k int, out []int) []int {
 	if !a.cfg.WordScan {
 		for ; k > 0; k-- {
@@ -732,6 +739,8 @@ func (a *ElasticArena) AcquireN(p *shm.Proc, k int, out []int) []int {
 	}
 	stamp := a.leaseStamp(p)
 	r := p.Rand()
+	wide := p.LostClaim()
+	p.SetLostClaim(false)
 	regrown := 0
 	for pass := 0; k > 0 && (a.cfg.MaxPasses == 0 || pass < a.cfg.MaxPasses); {
 		act := a.activeLevels()
@@ -745,11 +754,16 @@ func (a *ElasticArena) AcquireN(p *shm.Proc, k int, out []int) []int {
 				continue
 			}
 			for t := 0; k > 0 && t < levelProbes; t++ {
-				w := lvl.space.ProbeWord(r)
+				w := lvl.space.ProbeWord(r, wide)
 				if w < 0 {
 					break
 				}
+				pre := len(out)
 				out, k = a.grantMask(p, lvl, w, claimUpTo(p, lvl.space, w, k, stamp), out, k)
+				if len(out) == pre { // came back empty or bounced
+					wide = true
+					p.SetLostClaim(true)
+				}
 			}
 		}
 		for li := 0; k > 0 && li < act; li++ {

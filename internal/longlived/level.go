@@ -29,11 +29,13 @@ type LevelConfig struct {
 	// WordScan enables the word-granular claim engine: probes target
 	// bitmap words instead of single bits (one snapshot-scan-CAS claims the
 	// first free name of 64 in one step), the backstop scans words instead
-	// of names, probes draw among each level's lowest words not hinted
-	// full (shm.NameSpace.ProbeWord), and batch acquires claim up to 64
-	// names per step. Off by default: the per-bit probe path is the
-	// deterministic-mode contract whose golden fingerprints (and the
-	// paper's per-TAS cost model) stay bit-identical across refactors.
+	// of names, probes take each level's lowest word not hinted full until
+	// a claim is lost and then draw among its 4 lowest
+	// (shm.NameSpace.ProbeWord, shm.Proc.LostClaim), and batch acquires
+	// claim up to 64 names per step. Off by default: the per-bit probe
+	// path is the deterministic-mode contract whose golden fingerprints
+	// (and the paper's per-TAS cost model) stay bit-identical across
+	// refactors.
 	WordScan bool
 	// Padded lays level bitmaps out one word per cache line for native
 	// runs on real cores; leave false for simulated runs.
@@ -66,7 +68,8 @@ func (c *LevelConfig) fill() {
 // names near 0: with k concurrent holders the random probes w.h.p. place
 // everyone within the first O(log k) levels, whose sizes sum to O(k) — the
 // long-lived analogue of adaptive tight renaming. With WordScan, a probe
-// draws among the few lowest open words of its level (shm.ProbeWord), so
+// takes the lowest open word of its level, and draws among the 4 lowest
+// only once its proc has lost a claim (shm.NameSpace.ProbeWord), so
 // holders also pack into the low words of the level they reach. A level's
 // bitmap and stamp pages become resident on its first claim, so the
 // arena's memory follows the same O(k) prefix.
@@ -176,8 +179,8 @@ func (a *LevelArena) tryClaim(p *shm.Proc, lvl *shm.NameSpace, i int, stamp uint
 // Acquire implements Arena: random probes down the ladder, uniform over
 // each level's names, then a deterministic backstop scan; repeat up to
 // MaxPasses passes. With WordScan the probes and the backstop run
-// word-granular and the probes draw among each level's lowest open words
-// (see acquireWord).
+// word-granular and the probes pick each level's lowest open words (see
+// acquireWord).
 func (a *LevelArena) Acquire(p *shm.Proc) int {
 	if a.cfg.WordScan {
 		return a.acquireWord(p)
@@ -210,17 +213,22 @@ func (a *LevelArena) Acquire(p *shm.Proc) int {
 	return -1
 }
 
-// acquireWord is the word-granular Acquire: each probe draws one of its
-// level's lowest open words (shm.ProbeWord, no step) and ClaimFirstFree
-// turns the whole word into one snapshot-scan-CAS step. A level whose every
-// word is hinted saturated draws nothing and is passed at no step cost
-// (ALGORITHMS.md §10). The backstop scans words, not names: capacity/64
-// steps instead of 2×capacity. Hints only steer probes; the backstop reads
-// every word itself, so a stale hint (a release racing the claim that set
-// it) can never starve the termination guarantee.
+// acquireWord is the word-granular Acquire: each probe picks a word of its
+// level (shm.ProbeWord, no step) and ClaimFirstFree turns the whole word
+// into one snapshot-scan-CAS step. The probe takes the level's lowest open
+// word until a claim is lost, and from then on for the rest of the call
+// draws among its 4 lowest open words; a proc whose last call lost a claim
+// starts wide (shm.Proc.LostClaim). A level whose every word is hinted
+// saturated draws nothing and is passed at no step cost (ALGORITHMS.md
+// §10). The backstop scans words, not names: capacity/64 steps instead of
+// 2×capacity. Hints only steer probes; the backstop reads every word
+// itself, so a stale hint (a release racing the claim that set it) can
+// never starve the termination guarantee.
 func (a *LevelArena) acquireWord(p *shm.Proc) int {
 	stamp := a.leaseStamp(p)
 	r := p.Rand()
+	wide := p.LostClaim()
+	p.SetLostClaim(false)
 	backstop := len(a.levels) - 1
 	for pass := 0; a.cfg.MaxPasses == 0 || pass < a.cfg.MaxPasses; pass++ {
 		for li, lvl := range a.levels {
@@ -228,13 +236,15 @@ func (a *LevelArena) acquireWord(p *shm.Proc) int {
 				continue
 			}
 			for t := 0; t < levelProbes; t++ {
-				w := lvl.ProbeWord(r)
+				w := lvl.ProbeWord(r, wide)
 				if w < 0 {
 					break
 				}
 				if n := claimWord(p, lvl, w, stamp); n >= 0 {
 					return a.base[li] + n
 				}
+				wide = true
+				p.SetLostClaim(true)
 			}
 		}
 		lvl := a.levels[backstop]
@@ -250,9 +260,10 @@ func (a *LevelArena) acquireWord(p *shm.Proc) int {
 // AcquireN implements Arena. With WordScan the batch is served by
 // word-granular bulk claims — ClaimUpTo takes up to 64 free names from a
 // probed word in one CAS step — walking the ladder from level 0 with the
-// probes of acquireWord, so batches stay concentrated in the low levels
-// and words; the word backstop completes the remainder. Without WordScan
-// it degenerates to k independent Acquires (the per-bit probe path has no
+// probes of acquireWord (first fit until a claim comes back empty, then
+// the window), so batches stay concentrated in the low levels and words;
+// the word backstop completes the remainder. Without WordScan it
+// degenerates to k independent Acquires (the per-bit probe path has no
 // cheaper primitive).
 func (a *LevelArena) AcquireN(p *shm.Proc, k int, out []int) []int {
 	if !a.cfg.WordScan {
@@ -267,6 +278,8 @@ func (a *LevelArena) AcquireN(p *shm.Proc, k int, out []int) []int {
 	}
 	stamp := a.leaseStamp(p)
 	r := p.Rand()
+	wide := p.LostClaim()
+	p.SetLostClaim(false)
 	backstop := len(a.levels) - 1
 	for pass := 0; k > 0 && (a.cfg.MaxPasses == 0 || pass < a.cfg.MaxPasses); pass++ {
 		for li, lvl := range a.levels {
@@ -274,11 +287,16 @@ func (a *LevelArena) AcquireN(p *shm.Proc, k int, out []int) []int {
 				continue
 			}
 			for t := 0; k > 0 && t < levelProbes; t++ {
-				w := lvl.ProbeWord(r)
+				w := lvl.ProbeWord(r, wide)
 				if w < 0 {
 					break
 				}
-				out, k = appendMask(out, a.base[li]+w<<6, claimUpTo(p, lvl, w, k, stamp), k)
+				won := claimUpTo(p, lvl, w, k, stamp)
+				if won == 0 {
+					wide = true
+					p.SetLostClaim(true)
+				}
+				out, k = appendMask(out, a.base[li]+w<<6, won, k)
 			}
 		}
 		lvl := a.levels[backstop]

@@ -240,31 +240,33 @@ func TestChurnWordScanGolden(t *testing.T) {
 	}
 }
 
-// TestChurnMultiWordGolden pins the word path on a multi-word ladder, in
-// the shape of BENCH_4's simulated cells: NewLevel(1024), FIFO, n/batch
+// TestChurnMultiWordGolden pins the word path on multi-word ladders, in
+// the shape of BENCH_4's simulated cells: NewLevel(n), FIFO, seed 1, n/batch
 // procs churning batches of 1 and 4. The one-word ladders of
-// TestChurnWordScanGolden cannot see which word a probe draws; here levels
-// 1–4 span 2–16 words, so the fingerprint pins where the probe window
-// (shm.NameSpace.ProbeWord) puts holders (max name) and what the narrow
-// window costs in steps. The word path must stay at least 2× below the bit
-// path in acquire steps, BENCH_4's reduction gate.
+// TestChurnWordScanGolden cannot see which word a probe picks; here levels
+// span 2–16 words (n=1024) and up to 64 (n=4096, BENCH_4's gate cell), so
+// the fingerprint pins where the probes put holders (max name: first fit
+// until a claim is lost, then the shm.NameSpace.ProbeWord window) and what
+// the contended claims cost in steps. The word path must stay at least 2×
+// below the bit path in acquire steps, BENCH_4's reduction gate.
 func TestChurnMultiWordGolden(t *testing.T) {
 	type fingerprint struct {
 		acquires, maxName, acquireSteps int64
 	}
-	golden := map[int]fingerprint{
-		1: {acquires: 4096, maxName: 1170, acquireSteps: 10305},
-		4: {acquires: 4096, maxName: 1163, acquireSteps: 2596},
+	type cell struct{ n, batch int }
+	golden := map[cell]fingerprint{
+		{1024, 1}: {acquires: 4096, maxName: 1023, acquireSteps: 11123},
+		{1024, 4}: {acquires: 4096, maxName: 1023, acquireSteps: 3072},
+		{4096, 1}: {acquires: 16384, maxName: 4241, acquireSteps: 88842},
 	}
-	const n = 1024
-	run := func(wordScan bool, batch int) fingerprint {
-		a := NewLevel(n, LevelConfig{WordScan: wordScan, Label: "t-goldenmw"})
+	run := func(wordScan bool, c cell) fingerprint {
+		a := NewLevel(c.n, LevelConfig{WordScan: wordScan, Label: "t-goldenmw"})
 		mon := NewMonitor(a.NameBound())
 		sched.Run(sched.Config{
-			N:         n / batch,
+			N:         c.n / c.batch,
 			Seed:      1,
 			Fast:      sched.FastFIFO,
-			Body:      BatchChurnBody(a, mon, ChurnConfig{Cycles: 4, HoldMax: 8}, batch),
+			Body:      BatchChurnBody(a, mon, ChurnConfig{Cycles: 4, HoldMax: 8}, c.batch),
 			AfterStep: a.Clock(),
 		})
 		if err := mon.Err(); err != nil {
@@ -275,14 +277,17 @@ func TestChurnMultiWordGolden(t *testing.T) {
 		}
 		return fingerprint{mon.Acquires(), mon.MaxName(), mon.AcquireSteps()}
 	}
-	for _, batch := range []int{1, 4} {
-		got := run(true, batch)
-		if want := golden[batch]; got != want {
-			t.Errorf("batch %d: fingerprint %+v, want golden %+v", batch, got, want)
+	for _, c := range []cell{{1024, 1}, {1024, 4}, {4096, 1}} {
+		got := run(true, c)
+		if want := golden[c]; got != want {
+			t.Errorf("n=%d batch %d: fingerprint %+v, want golden %+v", c.n, c.batch, got, want)
 		}
-		if bit := run(false, batch); 2*got.acquireSteps > bit.acquireSteps {
-			t.Errorf("batch %d: word path took %d acquire steps, bit path %d: want at least 2x fewer",
-				batch, got.acquireSteps, bit.acquireSteps)
+		bit := run(false, c)
+		t.Logf("n=%d batch %d: word %.3f, bit %.3f steps/acquire", c.n, c.batch,
+			float64(got.acquireSteps)/float64(got.acquires), float64(bit.acquireSteps)/float64(bit.acquires))
+		if 2*got.acquireSteps > bit.acquireSteps {
+			t.Errorf("n=%d batch %d: word path took %d acquire steps, bit path %d: want at least 2x fewer",
+				c.n, c.batch, got.acquireSteps, bit.acquireSteps)
 		}
 	}
 }

@@ -162,20 +162,27 @@ func (s *NameSpace) Saturated() bool {
 // shifts, with no memory load or branch.
 const wrapRows = 0xE424440000
 
-// ProbeWord picks the bitmap word of one random word probe: one of the 4
-// lowest words not hinted saturated, chosen by the top bits of a single
-// r.Uint64() and wrapping around when fewer are open. It returns -1,
-// drawing nothing, when every word is hinted. The draw spreads concurrent
-// claimants over a few CAS targets, yet holders pack into the lowest words,
-// so issued names stay tight under churn. A claim that finds its word full
-// hints it, so the next probe draws from the next open words. No process
-// step; a stale hint only moves a probe.
-func (s *NameSpace) ProbeWord(r *prng.Rand) int {
+// ProbeWord picks the bitmap word of one word probe. Narrow (wide false),
+// it is the lowest word not hinted saturated: first fit, for a process that
+// has lost no claim (Proc.LostClaim). Wide, it is one of the 4 lowest
+// such words, chosen by the top bits of the draw and wrapping around when
+// fewer are open, which spreads claimants that contend over a few CAS
+// targets while holders still pack into the lowest words. Either way it
+// consumes exactly one r.Uint64(), so a process's generator stream does not
+// depend on the mode, and it returns -1, drawing nothing, when every word
+// is hinted. A claim that finds its word full hints it, so the next probe
+// moves on to the next open words. No process step; a stale hint only
+// moves a probe.
+func (s *NameSpace) ProbeWord(r *prng.Rand, wide bool) int {
 	last := len(s.sat.words) - 1
 	for i := 0; i <= last; i++ {
 		open := s.OpenWords(i)
 		if open == 0 {
 			continue
+		}
+		if !wide {
+			r.Uint64()
+			return i<<6 + bits.TrailingZeros64(open)
 		}
 		// Everything but the final pick is computed before the draw, and
 		// the shift counts are masked so they need no overflow checks.

@@ -108,7 +108,7 @@ func TestProbeWordDrawsLowestOpenWords(t *testing.T) {
 		const draws = 4000
 		count := make(map[int]int)
 		for d := 0; d < draws; d++ {
-			count[s.ProbeWord(r)]++
+			count[s.ProbeWord(r, true)]++
 		}
 		for w := range count {
 			if !slices.Contains(tc.window, w) {
@@ -146,11 +146,11 @@ func TestProbeWordMasksPartialLastWord(t *testing.T) {
 		for w := 0; w < words-1; w++ {
 			s.sat.Set(w)
 		}
-		if got := s.ProbeWord(r); got != words-1 || s.Saturated() {
+		if got := s.ProbeWord(r, true); got != words-1 || s.Saturated() {
 			t.Fatalf("%d words: drew %d (saturated %v), want the one open word %d", words, got, s.Saturated(), words-1)
 		}
 		s.sat.Set(words - 1)
-		if got := s.ProbeWord(r); got != -1 || !s.Saturated() {
+		if got := s.ProbeWord(r, true); got != -1 || !s.Saturated() {
 			t.Fatalf("%d words: drew %d (saturated %v) with every word hinted", words, got, s.Saturated())
 		}
 		// One clear hint anywhere reopens the space at exactly that word;
@@ -158,22 +158,22 @@ func TestProbeWordMasksPartialLastWord(t *testing.T) {
 		// summary word alone still reads full.
 		for _, w := range []int{0, words / 2, words - 1} {
 			s.sat.Clear(w)
-			if got := s.ProbeWord(r); got != w || s.Saturated() {
+			if got := s.ProbeWord(r, true); got != w || s.Saturated() {
 				t.Fatalf("%d words: drew %d (saturated %v), want the reopened word %d", words, got, s.Saturated(), w)
 			}
 			s.sat.Set(w)
 		}
 		s.DesaturateAll()
-		if got := s.ProbeWord(r); got < 0 || got >= min(words, 4) || s.Saturated() {
+		if got := s.ProbeWord(r, true); got < 0 || got >= min(words, 4) || s.Saturated() {
 			t.Fatalf("%d words: drew %d after a reset, want one of the lowest %d", words, got, min(words, 4))
 		}
 		// SetAll also sets the bits past the last word; they stay closed.
 		s.SaturateAll()
-		if got := s.ProbeWord(r); got != -1 || !s.Saturated() {
+		if got := s.ProbeWord(r, true); got != -1 || !s.Saturated() {
 			t.Fatalf("%d words: drew %d (saturated %v) after SaturateAll", words, got, s.Saturated())
 		}
 		s.sat.Clear(words - 1)
-		if got := s.ProbeWord(r); got != words-1 || s.Saturated() {
+		if got := s.ProbeWord(r, true); got != words-1 || s.Saturated() {
 			t.Fatalf("%d words: drew %d, want %d after SaturateAll then one clear", words, got, words-1)
 		}
 		last := (words - 1) >> 6
@@ -197,7 +197,7 @@ func TestProbeWordTakesOneDraw(t *testing.T) {
 		for d := 0; d < 100; d++ {
 			want := *r
 			want.Uint64()
-			s.ProbeWord(r)
+			s.ProbeWord(r, true)
 			if *r != want {
 				t.Fatalf("open words %v: a draw did not consume exactly one Uint64", open)
 			}
@@ -205,8 +205,56 @@ func TestProbeWordTakesOneDraw(t *testing.T) {
 	}
 	s.SaturateAll()
 	before := *r
-	if got := s.ProbeWord(r); got != -1 || *r != before {
+	if got := s.ProbeWord(r, true); got != -1 || *r != before {
 		t.Fatalf("fully hinted space drew word %d, generator moved %v", got, *r != before)
+	}
+}
+
+// TestProbeWordNarrowIsFirstFit: a narrow probe returns the lowest word
+// not hinted saturated, also past a 64-word summary boundary, and consumes
+// exactly one Uint64 as a window draw does. With every word hinted it
+// returns -1 and draws nothing, and hint bits past a partial last word
+// never read as open.
+func TestProbeWordNarrowIsFirstFit(t *testing.T) {
+	r := prng.New(11)
+	draw := func(s *NameSpace) int {
+		t.Helper()
+		want := *r
+		want.Uint64()
+		w := s.ProbeWord(r, false)
+		if *r != want {
+			t.Fatalf("narrow probe of word %d did not consume exactly one Uint64", w)
+		}
+		return w
+	}
+	s := NewNameSpace("t-narrow", 16384) // 256 words: four summary words
+	if got := draw(s); got != 0 {
+		t.Fatalf("fresh space: drew word %d, want 0", got)
+	}
+	for _, open := range [][]int{{1, 2, 3}, {63, 64}, {64, 200}, {130, 131}, {255}} {
+		s.SaturateAll()
+		for _, w := range open {
+			s.sat.Clear(w)
+		}
+		for d := 0; d < 10; d++ {
+			if got := draw(s); got != open[0] {
+				t.Fatalf("open words %v: drew word %d, want the lowest", open, got)
+			}
+		}
+	}
+	for _, words := range []int{1, 63, 64, 65, 128, 130} {
+		s := NewNameSpace("t-narrow-partial", words*64-1) // partial last bitmap word too
+		for w := 0; w < words; w++ {
+			s.sat.Set(w)
+		}
+		before := *r
+		if got := s.ProbeWord(r, false); got != -1 || *r != before {
+			t.Fatalf("%d words, all hinted: drew word %d, generator moved %v", words, got, *r != before)
+		}
+		s.sat.Clear(words - 1)
+		if got := draw(s); got != words-1 {
+			t.Fatalf("%d words: drew word %d, want the one open word %d", words, got, words-1)
+		}
 	}
 }
 

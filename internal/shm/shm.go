@@ -168,6 +168,9 @@ type Proc struct {
 	gate  Gate
 	steps int64
 	limit int64 // 0 means unlimited
+	// lostClaim is set when the process's last word-probe acquire lost a
+	// claim; see LostClaim.
+	lostClaim bool
 }
 
 // NewProc returns a process context. gate may be nil (native mode).
@@ -180,7 +183,8 @@ func NewProc(id int, rng *prng.Rand, gate Gate, limit int64) *Proc {
 }
 
 // Init resets p in place: the allocation-free equivalent of NewProc for
-// runners that batch-allocate one contexts slice per run.
+// runners that batch-allocate one contexts slice per run. It clears the
+// lost-claim bit with everything else.
 func (p *Proc) Init(id int, rng *prng.Rand, gate Gate, limit int64) {
 	*p = Proc{id: id, rng: rng, gate: gate, limit: limit}
 }
@@ -195,6 +199,19 @@ func (p *Proc) Rand() *prng.Rand { return p.rng }
 
 // Steps returns the number of shared-memory accesses performed so far.
 func (p *Proc) Steps() int64 { return p.steps }
+
+// LostClaim reports whether p's last word-probe acquire lost a word claim:
+// a claim that came back empty, or one an elastic arena bounced off a
+// draining level. While it is clear, word probes take each level's lowest
+// open word (first fit); once set, they draw from the ProbeWord window,
+// which spreads claimants that contend. The bit is process-local memory,
+// so reading or writing it is no shared-memory step.
+func (p *Proc) LostClaim() bool { return p.lostClaim }
+
+// SetLostClaim records whether the word-probe acquire in progress has lost
+// a claim. Probe loops clear it on entry and set it on a loss, so it stays
+// set after the call only if the call lost a claim.
+func (p *Proc) SetLostClaim(lost bool) { p.lostClaim = lost }
 
 // Native reports whether p runs ungated on real cores. Only then can a
 // process share a core with the one it waits for, so only then is yielding
