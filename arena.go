@@ -108,15 +108,22 @@ type ArenaConfig struct {
 	// lease blocks of LeaseBlocks names (at most 64 — one bitmap word,
 	// claimed in a single word-granular batch step) and then serve Acquire
 	// and absorb Release from a per-worker stack, with no step-counted
-	// shared-memory operation on the fast path (a hit still takes the
-	// worker's mutex and flips the name's parked bit). Blocks are leased
-	// first-fit — the lowest free words of the lowest stripe with room —
-	// so parked blocks sit at the bottom of the name space. Released names
-	// recirculate through the releasing worker's cache, so steady-state
-	// churn stops touching the backend entirely — the regime BENCH_5.json
-	// records. The trade-off is name tightness: cached names are claimed
-	// but serve nobody, so provision Capacity above the expected peak
-	// holders (see PERF.md).
+	// shared-memory operation on the fast path. A hit takes the worker
+	// slot's mutex, adjusts the slot's parked count and flips the name's
+	// parked bit, on cache lines no other worker's hits write, so workers
+	// on different cores do not contend: two workers churning on two cores
+	// pair a release with an acquire in about 110 ns, against 130 ns
+	// uncached on two stripes and 240 ns on the level array
+	// (BenchmarkArenaChurn, PERF.md). Blocks are leased first-fit — the
+	// lowest free words of the lowest stripe with room — so parked blocks
+	// sit at the bottom of the name space, and the backend under the
+	// cache is built packed: the cache reaches it only for whole-block
+	// refills and spills, so padding its words would only cost memory.
+	// Released names recirculate through the releasing worker's cache, so
+	// steady-state churn stops touching the backend entirely — the regime
+	// BENCH_5.json records. The trade-off is name tightness: cached names
+	// are claimed but serve nobody, so provision Capacity above the
+	// expected peak holders (see PERF.md).
 	// Caching composes with Lease — a cached block is one lease, renewed
 	// by Heartbeat and reclaimed wholesale if this handle crashes. 0 (the
 	// default) disables caching; enabling it requires the word-granular
@@ -396,7 +403,10 @@ const statStripes = 8
 // striped is a cache-line-padded striped counter: writers pick a lane by
 // their proc ID, so concurrent hot-path increments land on disjoint cache
 // lines instead of serializing on one shared word; readers sum the lanes.
+// The leading pad keeps lane 0 off the line of the fields before it —
+// Arena's closed and corrupted flags, which every operation reads.
 type striped struct {
+	_     [64]byte
 	lanes [statStripes]struct {
 		v atomic.Int64
 		_ [56]byte
@@ -522,7 +532,11 @@ func NewArena(cfg ArenaConfig) (*Arena, error) {
 	if cfg.Capacity >= 1<<29 {
 		return nil, fmt.Errorf("shmrename: ArenaConfig.Capacity must be < 2^29, got %d", cfg.Capacity)
 	}
-	rcfg := registry.Config{Capacity: cfg.Capacity, MaxPasses: acquirePasses, Scan: "word", Padded: true}
+	// Native runs pad each bitmap word to its own cache line, except under
+	// a lease cache: the cache reaches the backend only for whole-block
+	// refills and spills, too rarely for false sharing to cost what the
+	// padding does (registry.Config.Padded).
+	rcfg := registry.Config{Capacity: cfg.Capacity, MaxPasses: acquirePasses, Scan: "word", Padded: cfg.LeaseBlocks == 0}
 	switch cfg.Probe {
 	case ProbeAuto, ProbeWord:
 	case ProbeBit:

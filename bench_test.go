@@ -596,6 +596,79 @@ func BenchmarkArenaFill(b *testing.B) {
 	}
 }
 
+// BenchmarkArenaChurn measures two workers churning one arena: each of 2
+// goroutines acquires 500 names of its own at capacity 4096, then
+// repeatedly releases a random one of them and acquires a replacement.
+// One iteration is one release+acquire pair, split evenly between the
+// workers, so at -cpu 2 ns/op is wall time per pair with both workers
+// running at once. The cells pair each backend with and without a lease
+// cache (LeaseBlocks 64): at -cpu 2 a cache hit is only cheaper than the
+// backend's word claim if it writes nothing the other worker touches
+// (PERF.md, "Lease-cache hits on more than one core").
+func BenchmarkArenaChurn(b *testing.B) {
+	const (
+		workers  = 2
+		holders  = 500
+		capacity = 4096
+	)
+	for _, c := range []struct {
+		name string
+		cfg  ArenaConfig
+	}{
+		{"level", ArenaConfig{Capacity: capacity}},
+		{"sharded2", ArenaConfig{Capacity: capacity, Backend: ArenaBackendSharded, Shards: 2}},
+		{"level+lease64", ArenaConfig{Capacity: capacity, LeaseBlocks: 64}},
+		{"sharded2+lease64", ArenaConfig{Capacity: capacity, Backend: ArenaBackendSharded, Shards: 2, LeaseBlocks: 64}},
+	} {
+		b.Run(c.name, func(b *testing.B) {
+			c.cfg.Seed = 1
+			arena, err := NewArena(c.cfg)
+			if err != nil {
+				b.Fatal(err)
+			}
+			defer arena.Close()
+			// Each worker fills its own holders, so its names come from
+			// wherever its own calls are served; the clock starts once
+			// both are full. The generator lives on the worker's stack: two
+			// heap-allocated ones would share a cache line that both
+			// workers write on every pair.
+			filled, start := make(chan struct{}, workers), make(chan struct{})
+			done := make(chan error, workers)
+			for w := range workers {
+				go func(w, pairs int) {
+					var r prng.Rand
+					r.SeedStream(1, w)
+					names := make([]int, holders)
+					var err error
+					for i := 0; i < holders && err == nil; i++ {
+						names[i], err = arena.Acquire()
+					}
+					filled <- struct{}{}
+					<-start
+					for ; pairs > 0 && err == nil; pairs-- {
+						i := r.Intn(holders)
+						if err = arena.Release(names[i]); err == nil {
+							names[i], err = arena.Acquire()
+						}
+					}
+					done <- err
+				}(w, (b.N+w)/workers)
+			}
+			for range workers {
+				<-filled
+			}
+			b.ResetTimer()
+			close(start)
+			for range workers {
+				if err := <-done; err != nil {
+					b.Error(err)
+				}
+			}
+			b.StopTimer()
+		})
+	}
+}
+
 // BenchmarkCountingDeviceParallel measures raw acquisition throughput on
 // real cores via the public wrapper.
 func BenchmarkCountingDeviceParallel(b *testing.B) {

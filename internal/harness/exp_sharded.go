@@ -51,7 +51,7 @@ func e16Rows(g int) []e16Row {
 		s := s
 		rows = append(rows, e16Row{"sharded-level", s, func() longlived.Arena {
 			return shardedBackend.New(registry.Config{
-				Capacity: g, Shards: s, Scan: "bit",
+				Capacity: g, Shards: s, Scan: "bit", Padded: true,
 				Label: fmt.Sprintf("e16-s%d", s),
 			})
 		}})

@@ -92,9 +92,9 @@ func TestMarkUnmarkThroughCache(t *testing.T) {
 	if got := c.Cached(); got != 0 {
 		t.Fatalf("%d names still marked cached after flush", got)
 	}
-	for i := range c.cached {
-		if v := c.cached[i].Load(); v != 0 {
-			t.Fatalf("cached word %d = %#x after flush, want 0", i, v)
+	for w := 0; w < (c.NameBound()+63)/64; w++ {
+		if v := c.cached[c.cachedIndex(w)].Load(); v != 0 {
+			t.Fatalf("cached word %d = %#x after flush, want 0", w, v)
 		}
 	}
 	if h := inner.Held(); h != 0 {

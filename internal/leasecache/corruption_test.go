@@ -8,7 +8,7 @@ import (
 // corrupt plants a conservation violation: set a name's cached bit without
 // any stack holding it, so the next Release of that name marks it twice.
 func corrupt(c *Cache, name int) {
-	setBit(&c.cached[name>>6], uint64(1)<<(uint(name)&63))
+	setBit(c.cachedWord(name), uint64(1)<<(uint(name)&63))
 }
 
 // TestConservationPanicsWithoutHandler pins the strict default: without a

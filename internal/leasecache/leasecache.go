@@ -27,6 +27,13 @@
 // set, or uncaching one whose bit is clear, panics rather than silently
 // losing or duplicating a name.
 //
+// A hit or a parked release writes only what its slot owns: the slot's
+// mutex, stack header and parked count share the slot's own cache line,
+// the stack's backing array is the slot's alone, and the name's cached
+// bit sits in a word whose neighbors — the words first-fit refills hand
+// to other workers — live on other cache lines (see cachedIndex). Cached
+// and Held sum the per-slot counts.
+//
 // # Tightness and pressure
 //
 // Caching trades name tightness for latency, the same trade framed by
@@ -103,7 +110,10 @@ func (c *Config) fill() {
 type slot struct {
 	mu    sync.Mutex
 	names []int
-	_     [96]byte
+	// parked counts the names this slot's stack holds with their cached
+	// bit set. Only the mutex holder writes it; Cached reads it unlocked.
+	parked atomic.Int64
+	_      [88]byte
 }
 
 // Cache is the word-block lease cache layer. It implements
@@ -117,9 +127,10 @@ type Cache struct {
 	// cached holds one bit per inner name: set while the name is parked on
 	// a slot stack. It is the conservation cross-check and what keeps
 	// IsHeld honest — a parked name is claimed below but not held by any
-	// client.
-	cached  []atomic.Uint64
-	nCached atomic.Int64
+	// client. Bitmap word w lives at cachedIndex(w), not at w.
+	cached []atomic.Uint64
+	// lineShift is log2 of the number of cache lines cached spans.
+	lineShift uint
 	// pressure is the count of upcoming releases that must bypass the
 	// cache and feed the inner pool directly; starved acquirers open it.
 	pressure atomic.Int64
@@ -156,15 +167,40 @@ func New(inner longlived.Arena, cfg Config) *Cache {
 	if cfg.Block < 1 || cfg.Block > 64 {
 		panic(fmt.Sprintf("leasecache: Config.Block must lie in [1, 64], got %d", cfg.Block))
 	}
-	c := &Cache{
-		inner:  inner,
-		cfg:    cfg,
-		slots:  make([]slot, cfg.Slots),
-		cached: make([]atomic.Uint64, (inner.NameBound()+63)/64),
-	}
+	c := &Cache{inner: inner, cfg: cfg, slots: make([]slot, cfg.Slots)}
+	c.layoutCached(inner.NameBound())
 	c.drain, _ = inner.(registry.Drainer)
 	c.block, _ = inner.(registry.BlockAcquirer)
 	return c
+}
+
+// wordsPerLine is the number of cached-bit words in one 64-byte cache line.
+const wordsPerLine = 8
+
+// layoutCached allocates the cached array for nameBound names: L cache
+// lines of wordsPerLine words, L the smallest power of two that holds
+// every bitmap word, so the array is at most twice the packed words
+// rounded up to whole lines (padding each word to its own line would cost
+// eight times).
+func (c *Cache) layoutCached(nameBound int) {
+	words := (nameBound + 63) / 64
+	for 1<<c.lineShift*wordsPerLine < words {
+		c.lineShift++
+	}
+	c.cached = make([]atomic.Uint64, 1<<c.lineShift*wordsPerLine)
+}
+
+// cachedIndex maps bitmap word w to its slot in the cached array: line
+// w mod L, position ⌊w/L⌋ within it. Consecutive words, which first-fit
+// refills hand to different workers, land on different lines; a
+// power-of-two L makes the split a mask and a shift.
+func (c *Cache) cachedIndex(w int) int {
+	return (w&(1<<c.lineShift-1))*wordsPerLine + w>>c.lineShift
+}
+
+// cachedWord returns the cached-bit word holding name.
+func (c *Cache) cachedWord(name int) *atomic.Uint64 {
+	return &c.cached[c.cachedIndex(name>>6)]
 }
 
 // draining reports whether the inner arena is draining name's level (never
@@ -205,41 +241,41 @@ func (c *Cache) fail(msg string) {
 	}
 }
 
-// mark flags name as parked, reporting success. Double-parking a name
-// would eventually grant it twice, so a set bit is a conservation
-// violation: it panics, or — with a corruption handler installed — fails
-// the cache and returns false (the caller routes the name around the
-// stacks). The bit flip goes through setBit — the Or intrinsic on
-// toolchains where it compiles correctly, a load+CAS loop elsewhere (see
-// bits_fast.go).
-func (c *Cache) mark(name int) bool {
-	w, bit := &c.cached[name>>6], uint64(1)<<(uint(name)&63)
-	if setBit(w, bit)&bit != 0 {
+// mark flags name as parked on the (locked) slot s, reporting success.
+// Double-parking a name would eventually grant it twice, so a set bit is
+// a conservation violation: it panics, or — with a corruption handler
+// installed — fails the cache and returns false (the caller routes the
+// name around the stacks). The bit flip goes through setBit — the Or
+// intrinsic on toolchains where it compiles correctly, a load+CAS loop
+// elsewhere (see bits_fast.go).
+func (c *Cache) mark(s *slot, name int) bool {
+	bit := uint64(1) << (uint(name) & 63)
+	if setBit(c.cachedWord(name), bit)&bit != 0 {
 		c.fail(fmt.Sprintf("leasecache: name %d cached twice", name))
 		return false
 	}
-	c.nCached.Add(1)
+	s.parked.Add(1)
 	return true
 }
 
-// unmark clears name's parked bit on its way out of a slot stack,
+// unmark clears name's parked bit on its way out of the (locked) slot s,
 // reporting success. A clear bit means the stack held a name the
 // cached-bit array never accounted for — with a handler installed the
 // caller must drop the name (neither grant nor release it: its true state
 // is unknown, and leaking is the fail-safe direction).
-func (c *Cache) unmark(name int) bool {
-	w, bit := &c.cached[name>>6], uint64(1)<<(uint(name)&63)
-	if clearBit(w, bit)&bit == 0 {
+func (c *Cache) unmark(s *slot, name int) bool {
+	bit := uint64(1) << (uint(name) & 63)
+	if clearBit(c.cachedWord(name), bit)&bit == 0 {
 		c.fail(fmt.Sprintf("leasecache: name %d uncached twice", name))
 		return false
 	}
-	c.nCached.Add(-1)
+	s.parked.Add(-1)
 	return true
 }
 
 // parked reports name's cached bit (no step cost).
 func (c *Cache) parked(name int) bool {
-	return c.cached[name>>6].Load()&(1<<(uint(name)&63)) != 0
+	return c.cachedWord(name).Load()&(1<<(uint(name)&63)) != 0
 }
 
 // slotFor hashes the proc to its worker slot.
@@ -262,7 +298,7 @@ func (c *Cache) Acquire(p *shm.Proc) int {
 		for n := len(s.names); n > 0; n = len(s.names) {
 			name := s.names[n-1]
 			s.names = s.names[:n-1]
-			if !c.unmark(name) {
+			if !c.unmark(s, name) {
 				continue // unaccounted name: drop it, never grant
 			}
 			if c.draining(name) {
@@ -320,7 +356,7 @@ func (c *Cache) refill(p *shm.Proc, s *slot) int {
 	}
 	name := got[len(got)-1]
 	s.names = got[:len(got)-1]
-	if n := c.park(s.names[pre:]); pre+n < len(s.names) {
+	if n := c.park(s, s.names[pre:]); pre+n < len(s.names) {
 		// Cache failed mid-refill: the unparked tail goes straight back
 		// to the inner pool, the parked prefix stays parked.
 		c.inner.ReleaseN(p, s.names[pre+n:])
@@ -345,32 +381,32 @@ func (c *Cache) direct(p *shm.Proc) int {
 	return c.inner.Acquire(p)
 }
 
-// park marks a freshly leased block parked and returns how many of its
-// leading names it parked. A block usually fills one cached-bit word, so
-// each word costs one CAS and the block one nCached add, instead of one of
-// each per name. A word whose bits are already set (or a block naming a
-// name twice) falls back to mark, name by name, so a violation still names
-// the name and the names before it stay parked.
-func (c *Cache) park(names []int) int {
+// park marks a freshly leased block parked on the (locked) slot s and
+// returns how many of its leading names it parked. A block usually fills
+// one cached-bit word, so each word costs one CAS and the block one count
+// add, instead of one of each per name. A word whose bits are already set
+// (or a block naming a name twice) falls back to mark, name by name, so a
+// violation still names the name and the names before it stay parked.
+func (c *Cache) park(s *slot, names []int) int {
 	n, bulk := 0, 0
 	for n < len(names) {
 		wi, end, mask := names[n]>>6, n, uint64(0)
 		for ; end < len(names) && names[end]>>6 == wi; end++ {
 			mask |= 1 << (uint(names[end]) & 63)
 		}
-		if bits.OnesCount64(mask) == end-n && setFree(&c.cached[wi], mask) {
+		if bits.OnesCount64(mask) == end-n && setFree(&c.cached[c.cachedIndex(wi)], mask) {
 			bulk += end - n
 			n = end
 			continue
 		}
-		for n < end && c.mark(names[n]) {
+		for n < end && c.mark(s, names[n]) {
 			n++
 		}
 		if n < end {
 			break
 		}
 	}
-	c.nCached.Add(int64(bulk))
+	s.parked.Add(int64(bulk))
 	return n
 }
 
@@ -399,7 +435,7 @@ func (c *Cache) steal(p *shm.Proc) int {
 		for n := len(s.names); n > 0; n = len(s.names) {
 			name := s.names[n-1]
 			s.names = s.names[:n-1]
-			if !c.unmark(name) {
+			if !c.unmark(s, name) {
 				continue // unaccounted name: drop it, never grant
 			}
 			if c.draining(name) {
@@ -459,7 +495,7 @@ func (c *Cache) Release(p *shm.Proc, name int) {
 	if len(s.names) >= c.cfg.MaxCached {
 		spill = c.takeBlock(s)
 	}
-	if !c.mark(name) {
+	if !c.mark(s, name) {
 		s.mu.Unlock()
 		c.inner.Release(p, name) // cache failed: route around the stacks
 		if spill != nil {
@@ -485,7 +521,7 @@ func (c *Cache) takeBlock(s *slot) []int {
 	}
 	out := make([]int, 0, k)
 	for _, n := range s.names[:k] {
-		if c.unmark(n) {
+		if c.unmark(s, n) {
 			out = append(out, n) // unaccounted names are dropped, not freed
 		}
 	}
@@ -505,7 +541,7 @@ func (c *Cache) AcquireN(p *shm.Proc, k int, out []int) []int {
 			n := len(s.names)
 			name := s.names[n-1]
 			s.names = s.names[:n-1]
-			if !c.unmark(name) {
+			if !c.unmark(s, name) {
 				continue // unaccounted name: drop it, never grant
 			}
 			if c.draining(name) {
@@ -542,7 +578,7 @@ func (c *Cache) ReleaseN(p *shm.Proc, names []int) {
 					// the inner batch release with it.
 					break
 				}
-				if !c.mark(names[i]) {
+				if !c.mark(s, names[i]) {
 					break // cache failed: the tail goes straight to the pool
 				}
 				s.names = append(s.names, names[i])
@@ -567,7 +603,7 @@ func (c *Cache) Flush(p *shm.Proc) int {
 		s.mu.Lock()
 		buf = buf[:0]
 		for _, n := range s.names {
-			if c.unmark(n) {
+			if c.unmark(s, n) {
 				buf = append(buf, n) // unaccounted names are dropped, not freed
 			}
 		}
@@ -592,7 +628,7 @@ func (c *Cache) purge(name int) bool {
 		for j, n := range s.names {
 			if n == name {
 				s.names = append(s.names[:j], s.names[j+1:]...)
-				c.unmark(name)
+				c.unmark(s, name)
 				s.mu.Unlock()
 				return true
 			}
@@ -662,15 +698,22 @@ func (c *Cache) IsHeld(name int) bool {
 // names. Both reads are racy snapshots (diagnostics only); the clamp
 // absorbs a release landing between them.
 func (c *Cache) Held() int {
-	h := c.inner.Held() - int(c.nCached.Load())
+	h := c.inner.Held() - c.Cached()
 	if h < 0 {
 		h = 0
 	}
 	return h
 }
 
-// Cached returns the number of currently parked names (a snapshot).
-func (c *Cache) Cached() int { return int(c.nCached.Load()) }
+// Cached returns the number of currently parked names: the slots' parked
+// counts summed (a snapshot; each slot is read once, unlocked).
+func (c *Cache) Cached() int {
+	var n int64
+	for i := range c.slots {
+		n += c.slots[i].parked.Load()
+	}
+	return int(n)
+}
 
 // Stats returns the slow-path event counters: block refills, block
 // spills, and cross-slot steals. The fast path counts nothing.

@@ -25,9 +25,13 @@ func init() {
 		New: func(cfg registry.Config) registry.Arena {
 			// The production shape ArenaConfig.LeaseBlocks wires: per-worker
 			// word-block caches over the word-scan sharded frontend, which
-			// honors Shards and Elastic like the "sharded" backend.
+			// honors Shards and Elastic like the "sharded" backend. The
+			// stripes stay packed whatever Padded says: the cache reaches
+			// them only for whole-block refills and spills, too rarely for
+			// false sharing to cost what padding does.
 			scfg := sharded.RegistryConfig(cfg)
 			scfg.WordScan = true // a block is one bitmap word
+			scfg.Padded = false
 			return New(sharded.New(cfg.Capacity, scfg), Config{Block: min(64, cfg.Capacity)})
 		},
 	})

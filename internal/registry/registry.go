@@ -238,7 +238,11 @@ type Config struct {
 	// across registry backends instead of hand-wiring twin constructors.
 	Scan string
 	// Padded, when true, pads shared words to cache-line stride on backends
-	// that support it (native multicore runs); simulated runs leave it false.
+	// that support it (native multicore runs); simulated runs leave it
+	// false, and so get packed storage. The sharded frontend forwards it to
+	// every stripe. Caching backends (Caps.Cached) ignore it and build their
+	// backend packed: the cache reaches it only for whole-block refills and
+	// spills, too rarely for false sharing to cost what padding does.
 	Padded bool
 	// Shards overrides the stripe count of sharded frontends; 0 selects the
 	// backend default. Unsharded backends ignore it.

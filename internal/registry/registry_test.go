@@ -5,8 +5,10 @@ import (
 	"strings"
 	"testing"
 
+	"shmrename/internal/prng"
 	"shmrename/internal/registry"
 	_ "shmrename/internal/registry/all"
+	"shmrename/internal/shm"
 )
 
 // TestRegisteredSet pins the in-tree backend roster: a new backend must be
@@ -88,10 +90,13 @@ func TestRegisterRejectsDuplicates(t *testing.T) {
 }
 
 // TestConstructorsHonorConfig spot-checks that every registered (in-process)
-// constructor respects the common capacity knob, and the stripe-count and
-// elasticity knobs its capabilities promise: a Sharded backend stripes
-// Config.Shards ways, and an Elastic or Sharded backend built with
-// Config.Elastic starts with less resident capacity than it guarantees.
+// constructor respects the common capacity knob, and the stripe-count,
+// elasticity and padding knobs its capabilities promise: a Sharded backend
+// stripes Config.Shards ways, an Elastic or Sharded backend built with
+// Config.Elastic starts with less resident capacity than it guarantees,
+// and a backend reporting its footprint builds packed storage when
+// Config.Padded is false and pads it when Padded is true — except a
+// Cached backend, whose backend is packed either way.
 func TestConstructorsHonorConfig(t *testing.T) {
 	for _, b := range registry.All() {
 		if b.Caps.External {
@@ -119,6 +124,32 @@ func TestConstructorsHonorConfig(t *testing.T) {
 			}
 			if el.CapacityNow() >= a.Capacity() {
 				t.Errorf("%s: built with Elastic, CapacityNow %d is not below Capacity %d", b.Name, el.CapacityNow(), a.Capacity())
+			}
+		}
+		for _, padded := range []bool{false, true} {
+			// 32 names in one stripe are one bitmap word, and the first
+			// claim (a cache's first refill included) makes just that word
+			// resident: 8 bytes packed, a 64-byte line padded.
+			cfg := registry.Config{Capacity: 32, Padded: padded, Label: "t-reg-p-" + b.Name}
+			if b.Caps.Sharded {
+				cfg.Shards = 1
+			}
+			a := b.New(cfg)
+			fp, ok := a.(registry.Footprint)
+			if !ok {
+				break
+			}
+			before := fp.ResidentBytes()
+			if a.Acquire(shm.NewProc(0, prng.NewStream(1, 0), nil, 0)) < 0 {
+				t.Errorf("%s: first acquire failed", b.Name)
+				break
+			}
+			want := int64(8)
+			if padded && !b.Caps.Cached {
+				want = 64
+			}
+			if got := fp.ResidentBytes() - before; got != want {
+				t.Errorf("%s: Padded %v, the first claim made %d bytes resident, want %d", b.Name, padded, got, want)
 			}
 		}
 	}

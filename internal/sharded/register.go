@@ -16,8 +16,9 @@ const registryShards = 4
 // RegistryConfig translates the registry's common config into the
 // frontend's, for this package's registration and for the caching layers
 // registered over it: Shards defaults to registryShards and is clamped to
-// Capacity, Elastic stripes elastic sub-arenas, and the word engine scans
-// unless Scan asks for "bit".
+// Capacity, Elastic stripes elastic sub-arenas, the word engine scans
+// unless Scan asks for "bit", and the stripes are padded only when Padded
+// asks for it.
 func RegistryConfig(cfg registry.Config) Config {
 	shards := cfg.Shards
 	if shards == 0 {
@@ -27,7 +28,7 @@ func RegistryConfig(cfg registry.Config) Config {
 		Shards:    min(shards, cfg.Capacity),
 		MaxPasses: cfg.MaxPasses,
 		WordScan:  cfg.Scan != "bit",
-		Padded:    true,
+		Padded:    cfg.Padded,
 		Lease:     longlived.Lease(cfg),
 		Elastic:   cfg.Elastic,
 		Label:     cfg.Label,
