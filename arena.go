@@ -114,16 +114,23 @@ type ArenaConfig struct {
 	// on different cores do not contend: two workers churning on two cores
 	// pair a release with an acquire in about 110 ns, against 130 ns
 	// uncached on two stripes and 240 ns on the level array
-	// (BenchmarkArenaChurn, PERF.md). Blocks are leased first-fit — the
-	// lowest free words of the lowest stripe with room — so parked blocks
-	// sit at the bottom of the name space, and the backend under the
-	// cache is built packed: the cache reaches it only for whole-block
-	// refills and spills, so padding its words would only cost memory.
+	// (BenchmarkArenaChurn, PERF.md). A worker whose cache runs dry first
+	// takes a block of the lowest names parked in an idle worker cache —
+	// one no worker is drawing on — and leases a fresh block only when no
+	// other cache has names to give, so the names parked track the
+	// workers that are active rather than every per-P cache a goroutine
+	// has run on. Fresh blocks are leased
+	// first-fit — the lowest free words of the lowest stripe with room —
+	// so parked blocks sit at the bottom of the name space, and the
+	// backend under the cache is built packed: the cache reaches it only
+	// for whole-block refills and spills, so padding its words would only
+	// cost memory.
 	// Released names recirculate through the releasing worker's cache, so
 	// steady-state churn stops touching the backend entirely — the regime
 	// BENCH_5.json records. The trade-off is name tightness: cached names
 	// are claimed but serve nobody, so provision Capacity above the
-	// expected peak holders (see PERF.md).
+	// expected peak holders plus 2×LeaseBlocks per active worker (see
+	// PERF.md).
 	// Caching composes with Lease — a cached block is one lease, renewed
 	// by Heartbeat and reclaimed wholesale if this handle crashes. 0 (the
 	// default) disables caching; enabling it requires the word-granular
@@ -451,15 +458,19 @@ type ArenaStats struct {
 	Reclaimed int64
 	// CacheRefills counts word-block leases the cache layer took from the
 	// backend — each one word-granular batch claim that funds up to
-	// LeaseBlocks local acquires. Always 0 with LeaseBlocks off.
+	// LeaseBlocks local acquires. A worker cache that runs dry leases only
+	// when no idle worker cache has names parked; a block taken from one
+	// is a steal. Always 0 with LeaseBlocks off.
 	CacheRefills int64
 	// CacheSpills counts whole blocks the cache returned to the backend
 	// under release-side pressure (a worker cache at its cap). Always 0
 	// with LeaseBlocks off.
 	CacheSpills int64
-	// CacheSteals counts names acquired from another worker's cache when
-	// the backend had none free — the imbalance valve. Always 0 with
-	// LeaseBlocks off.
+	// CacheSteals counts takings from another worker's cache: a block of
+	// up to LeaseBlocks of an idle cache's lowest parked names, taken by a
+	// worker cache that ran dry before it asks the backend, counts once,
+	// and so does a single name taken when both came up empty. Always 0
+	// with LeaseBlocks off.
 	CacheSteals int64
 	// CapacityNow is the capacity resident right now: the summed sizes of
 	// an elastic arena's active levels, tracking live contention between

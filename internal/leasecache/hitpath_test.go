@@ -38,7 +38,12 @@ func TestParkedCountsAfterChurn(t *testing.T) {
 					held = append(held, n)
 				}
 			}
-			kept[id] = held
+			// End on releases, so names stay parked however the last
+			// refills left the stacks: sibling refills can drain them.
+			for _, n := range held[len(held)/2:] {
+				c.Release(p, n)
+			}
+			kept[id] = held[:len(held)/2]
 		}(g)
 	}
 	wg.Wait()

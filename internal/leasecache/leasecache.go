@@ -22,7 +22,8 @@
 // Every name is always in exactly one of three states — free in the inner
 // arena, cached (claimed in the inner arena, parked on exactly one slot's
 // stack, cached-bit set), or granted to a client (claimed, no cached bit).
-// State transitions happen under the owning slot's mutex, and the
+// State transitions happen under the owning slot's mutex (a refill that
+// moves parked names from a sibling slot holds both), and the
 // cached-bit array is the cross-check: caching a name whose bit is already
 // set, or uncaching one whose bit is clear, panics rather than silently
 // losing or duplicating a name.
@@ -39,20 +40,27 @@
 // Caching trades name tightness for latency, the same trade framed by
 // "Space Bounds for Adaptive Renaming" (arXiv:1603.04067) for the sharded
 // frontend: cached names are claimed but serve nobody, so the arena must
-// be provisioned with slack (capacity ≳ peak holders + Slots×MaxCached for
-// pressure-free operation). The trade is bounded by where blocks come
-// from: refills (and the direct fallback) lease first-fit through
-// registry.BlockAcquirer — the lowest free words of the lowest stripe with
-// room — rather than through AcquireN's home-stripe, random-word
-// placement. Refills are rare, so they can afford the lowest names, and
-// the largest issued name then tracks holders plus parked blocks instead
-// of the stripe a worker's proc happens to call home.
+// be provisioned with slack (capacity ≳ peak holders + MaxCached per
+// active worker for pressure-free operation). The trade is bounded by
+// where blocks come from. A slot that runs dry first takes a block of an
+// idle sibling slot's lowest parked names, and leases a fresh block only
+// when no sibling has names to give, so a worker whose proc moves to
+// another slot (a goroutine that runs on another P) leaves its names in
+// the slot it left only until its next refill takes them, not MaxCached
+// names in every slot it has touched. A sibling whose worker is drawing
+// on it keeps its names (busyWindow). Fresh blocks (and the direct
+// fallback) are leased first-fit through registry.BlockAcquirer — the
+// lowest free words of the lowest stripe with room — rather than through
+// AcquireN's home-stripe, random-word placement. Refills are rare, so
+// they can afford the lowest names, and the largest issued name then
+// tracks holders plus the active workers' parked blocks instead of the
+// stripe a worker's proc happens to call home or the number of slots.
 //
 // When provisioning is tight the layer degrades instead of starving: an
-// acquirer that finds the inner arena full first steals from other
-// workers' stacks, and then opens a pressure window that makes the next
-// Block releases bypass the cache and return names straight to the inner
-// pool. Release-side pressure is bounded the same way: a stack at
+// acquirer whose slot and refill come up empty steals single names from
+// other workers' stacks, and then opens a pressure window that makes the
+// next Block releases bypass the cache and return names straight to the
+// inner pool. Release-side pressure is bounded the same way: a stack at
 // MaxCached spills a whole block back through one coalesced ReleaseN.
 //
 // # Crash recovery
@@ -71,8 +79,10 @@ import (
 	"fmt"
 	"math/bits"
 	"runtime"
+	"slices"
 	"sync"
 	"sync/atomic"
+	"time"
 
 	"shmrename/internal/longlived"
 	"shmrename/internal/registry"
@@ -147,6 +157,9 @@ type Cache struct {
 	refills atomic.Int64
 	spills  atomic.Int64
 	steals  atomic.Int64
+	// moves counts sibling refills, each added while both slots are still
+	// locked: purge sweeps again when it moved during a sweep.
+	moves atomic.Int64
 	// failed latches when a conservation violation was detected with a
 	// corruption handler installed: every subsequent operation bypasses the
 	// cache and goes straight to the inner arena (the frozen stacks keep
@@ -285,10 +298,11 @@ func (c *Cache) slotFor(p *shm.Proc) *slot {
 
 // Acquire implements longlived.Arena. Fast path: pop the worker slot's
 // stack — no step-counted shared-memory operation, no inner-arena work.
-// Slow paths, in order: lease a fresh block from the inner arena (one
-// first-fit word-granular sweep), steal from another worker's stack, and
-// finally a direct inner acquire; a starved acquire opens the pressure
-// window before reporting the arena full.
+// Slow paths, in order: refill the slot (a block of an idle sibling
+// slot's parked names, else a fresh first-fit block from the inner
+// arena), steal one name from another worker's stack, and finally a
+// direct inner acquire; a starved acquire opens the pressure window
+// before reporting the arena full.
 func (c *Cache) Acquire(p *shm.Proc) int {
 	if c.failed.Load() {
 		return c.inner.Acquire(p)
@@ -331,14 +345,24 @@ func (c *Cache) Acquire(p *shm.Proc) int {
 	return -1
 }
 
-// refill leases one block from the inner arena into the (locked, empty)
-// slot, returning one name of it or -1 when the inner arena served none.
+// refill restocks the (locked, empty) slot, returning one name of the
+// restock or -1 when none came. It first takes up to one block of an idle
+// sibling slot's lowest parked names (fromSibling), so parked names follow
+// the workers that are active instead of staying behind in every slot a
+// worker's proc has visited. Only when no sibling has names to give does
+// it lease a fresh block from the inner arena.
+//
 // A first-fit AcquireBlock is one bounded sweep, so it runs under the slot
 // mutex. AcquireN can spin until names free up (MaxPasses 0), and a proc
 // unwound mid-spin by its step limit must not leave the slot locked for
 // Flush to block on, so the mutex is dropped around that call; names
 // other procs park meanwhile stay below the fresh block.
 func (c *Cache) refill(p *shm.Proc, s *slot) int {
+	if c.fromSibling(p, s) {
+		if name := c.pop(p, s); name >= 0 {
+			return name
+		}
+	}
 	pre := len(s.names)
 	var got []int
 	if c.block != nil {
@@ -424,29 +448,106 @@ func setFree(w *atomic.Uint64, mask uint64) bool {
 	}
 }
 
+// lockParked walks the slots in ring order from index from (mod Slots),
+// stopping before index stop, and returns the first whose parked count is
+// nonzero and whose mutex it wins with TryLock, with that slot's index;
+// nil when none. Slots with nothing parked are skipped without locking.
+func (c *Cache) lockParked(from, stop int) (*slot, int) {
+	for i := from; i < stop; i++ {
+		s := &c.slots[i%len(c.slots)]
+		if s.parked.Load() > 0 && s.mu.TryLock() {
+			return s, i
+		}
+	}
+	return nil, stop
+}
+
+// busyWindow is how long a refill watches its siblings' parked counts
+// before it takes from one. A worker drawing names from its slot — one
+// that is filling up, the case in which a take splits words — moves the
+// count with every hit, about one per 100 ns, so a slot whose count moves
+// within the window is busy: taking its names would split the words its
+// worker holds between two workers, whose hits then write the same
+// cached-bit lines. A slot whose worker has moved on keeps its count
+// still, and so, often, does one whose worker releases as much as it
+// takes; that worker's slot seldom runs dry or needs the names it gives.
+const busyWindow = time.Microsecond
+
+// fromSibling moves up to one block of the lowest names parked on an idle
+// sibling slot onto the (locked) slot s, reporting whether it found one:
+// a sibling with names parked whose count stayed still for busyWindow.
+// The names stay parked throughout — their cached bits stay set, only the
+// two slots' parked counts change — and arrive lowest on top, so s serves
+// them lowest first. Sorting the sibling's stack leaves its own remaining
+// names lowest on top as well, and its oldest (spilled first) highest.
+func (c *Cache) fromSibling(p *shm.Proc, s *slot) bool {
+	home := p.ID() % len(c.slots)
+	stop := home + len(c.slots)
+	var buf [64]int64
+	counts := buf[:0]
+	if len(c.slots) > len(buf) {
+		counts = make([]int64, 0, len(c.slots))
+	}
+	some := false
+	for i := home + 1; i < stop; i++ {
+		n := c.slots[i%len(c.slots)].parked.Load()
+		counts = append(counts, n)
+		some = some || n > 0
+	}
+	if !some {
+		return false
+	}
+	for start := time.Now(); time.Since(start) < busyWindow; {
+	}
+	for sib, i := c.lockParked(home+1, stop); sib != nil; sib, i = c.lockParked(i+1, stop) {
+		if sib.parked.Load() != counts[i-home-1] {
+			sib.mu.Unlock()
+			continue
+		}
+		slices.SortFunc(sib.names, func(a, b int) int { return b - a })
+		cut := max(len(sib.names)-c.cfg.Block, 0)
+		moved := sib.names[cut:]
+		s.names = append(s.names, moved...)
+		sib.names = sib.names[:cut]
+		sib.parked.Add(-int64(len(moved)))
+		s.parked.Add(int64(len(moved)))
+		c.moves.Add(1)
+		sib.mu.Unlock()
+		c.steals.Add(1)
+		return true
+	}
+	return false
+}
+
+// pop takes the top name off the (locked) slot s for a grant: it clears
+// the name's cached bit, drops an unaccounted name and sheds a draining
+// one, and returns -1 once the stack runs dry.
+func (c *Cache) pop(p *shm.Proc, s *slot) int {
+	for n := len(s.names); n > 0; n = len(s.names) {
+		name := s.names[n-1]
+		s.names = s.names[:n-1]
+		if !c.unmark(s, name) {
+			continue // unaccounted name: drop it, never grant
+		}
+		if c.draining(name) {
+			c.inner.Release(p, name)
+			continue
+		}
+		return name
+	}
+	return -1
+}
+
 // steal pops one parked name from any slot, starting at the proc's own.
 func (c *Cache) steal(p *shm.Proc) int {
 	home := p.ID() % len(c.slots)
-	for off := 0; off < len(c.slots); off++ {
-		s := &c.slots[(home+off)%len(c.slots)]
-		if !s.mu.TryLock() {
-			continue
-		}
-		for n := len(s.names); n > 0; n = len(s.names) {
-			name := s.names[n-1]
-			s.names = s.names[:n-1]
-			if !c.unmark(s, name) {
-				continue // unaccounted name: drop it, never grant
-			}
-			if c.draining(name) {
-				c.inner.Release(p, name)
-				continue
-			}
-			s.mu.Unlock()
+	for s, i := c.lockParked(home, home+len(c.slots)); s != nil; s, i = c.lockParked(i+1, home+len(c.slots)) {
+		name := c.pop(p, s)
+		s.mu.Unlock()
+		if name >= 0 {
 			c.steals.Add(1)
 			return name
 		}
-		s.mu.Unlock()
 	}
 	return -1
 }
@@ -617,25 +718,33 @@ func (c *Cache) Flush(p *shm.Proc) int {
 
 // purge removes a parked name from whichever slot holds it, reporting
 // whether it was found. The recovery sweep calls it through the wrapped
-// Reclaim before freeing the name's claim bit.
+// Reclaim before freeing the name's claim bit. The sweep locks one slot at
+// a time, so a sibling refill could carry the name from a slot it has not
+// reached to one it has passed; a sweep that a move overlapped therefore
+// sweeps again. A set cached bit that sits on no stack is not found.
 func (c *Cache) purge(name int) bool {
-	if !c.parked(name) {
-		return false
-	}
-	for i := range c.slots {
-		s := &c.slots[i]
-		s.mu.Lock()
-		for j, n := range s.names {
-			if n == name {
-				s.names = append(s.names[:j], s.names[j+1:]...)
-				c.unmark(s, name)
-				s.mu.Unlock()
-				return true
-			}
+	for {
+		moves := c.moves.Load()
+		if !c.parked(name) {
+			return false
 		}
-		s.mu.Unlock()
+		for i := range c.slots {
+			s := &c.slots[i]
+			s.mu.Lock()
+			for j, n := range s.names {
+				if n == name {
+					s.names = append(s.names[:j], s.names[j+1:]...)
+					c.unmark(s, name)
+					s.mu.Unlock()
+					return true
+				}
+			}
+			s.mu.Unlock()
+		}
+		if c.moves.Load() == moves {
+			return false
+		}
 	}
-	return false
 }
 
 // Parked reports whether name is currently parked on a slot stack (the
@@ -715,8 +824,10 @@ func (c *Cache) Cached() int {
 	return int(n)
 }
 
-// Stats returns the slow-path event counters: block refills, block
-// spills, and cross-slot steals. The fast path counts nothing.
+// Stats returns the slow-path event counters: blocks leased from the
+// inner arena, blocks spilled back to it, and cross-slot steals — each
+// sibling block a refill takes counts as one steal, as does each single
+// name the steal path pops. The fast path counts nothing.
 func (c *Cache) Stats() (refills, spills, steals int64) {
 	return c.refills.Load(), c.spills.Load(), c.steals.Load()
 }

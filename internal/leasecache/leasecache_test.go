@@ -176,9 +176,9 @@ func TestIsHeldParked(t *testing.T) {
 }
 
 // TestPressureRelief pins the starvation valve: with every free name
-// parked in another worker's cache, an acquirer first steals; once steals
-// are exhausted mid-storm the pressure window routes releases straight to
-// the inner pool.
+// parked in another worker's cache, an acquirer first takes a block of
+// them (one steal); once the parked names are exhausted the pressure
+// window routes releases straight to the inner pool.
 func TestPressureRelief(t *testing.T) {
 	c, _ := newSharded(64, 1, Config{Block: 64, Slots: 2, MaxCached: 64})
 	pa, pb := proc(0), proc(1) // hash to different slots
@@ -187,13 +187,17 @@ func TestPressureRelief(t *testing.T) {
 	if a0 < 0 {
 		t.Fatal("bootstrap acquire failed")
 	}
-	// B's acquire finds the inner arena empty and must steal from A's slot.
+	// B's empty slot takes A's 63 parked names as one block, serves one
+	// and parks the other 62; the empty inner arena is never asked.
 	b0 := c.Acquire(pb)
 	if b0 < 0 {
-		t.Fatal("steal-path acquire failed with 63 names parked")
+		t.Fatal("sibling refill failed with 63 names parked")
 	}
-	if _, _, steals := c.Stats(); steals == 0 {
-		t.Fatal("acquire succeeded without stealing — parked names leaked?")
+	if refills, _, steals := c.Stats(); refills != 1 || steals != 1 {
+		t.Fatalf("Stats() refills %d, steals %d after one lease and one sibling block, want 1 and 1", refills, steals)
+	}
+	if a, b := c.slots[0].parked.Load(), c.slots[1].parked.Load(); a != 0 || b != 62 {
+		t.Fatalf("parked counts %d/%d after the sibling block, want 0/62", a, b)
 	}
 	// Drain every parked name; the next acquire is a genuine full report
 	// and must open the pressure window.

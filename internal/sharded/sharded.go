@@ -576,9 +576,9 @@ func (a *Arena) LeaseDomains() []longlived.LeaseDomain {
 }
 
 // CapacityNow implements registry.Elastic: the summed resident capacity of
-// the stripes. Fixed sub-arenas contribute their full capacity, so a
-// non-elastic sharded arena reports CapacityNow == Capacity (modulo the
-// ⌈capacity/S⌉ rounding the fixed arena also carries).
+// the stripes, clamped to Capacity. Fixed sub-arenas contribute their full
+// capacity, so a non-elastic sharded arena reports Capacity: each stripe
+// holds ⌈capacity/S⌉ names, and the clamp drops the rounding.
 func (a *Arena) CapacityNow() int {
 	c := 0
 	for _, s := range a.shards {
@@ -588,12 +588,12 @@ func (a *Arena) CapacityNow() int {
 			c += s.Capacity()
 		}
 	}
-	return c
+	return min(c, a.cap)
 }
 
-// PeakCapacity implements registry.Elastic (summed per-stripe peaks; the
-// stripes peak independently, so this bounds any instantaneous global
-// capacity from above).
+// PeakCapacity implements registry.Elastic (summed per-stripe peaks,
+// clamped to Capacity; the stripes peak independently, so this bounds any
+// instantaneous global capacity from above).
 func (a *Arena) PeakCapacity() int {
 	c := 0
 	for _, s := range a.shards {
@@ -603,7 +603,7 @@ func (a *Arena) PeakCapacity() int {
 			c += s.Capacity()
 		}
 	}
-	return c
+	return min(c, a.cap)
 }
 
 // Grow implements registry.Elastic: every stripe is asked to extend its
