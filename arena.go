@@ -116,15 +116,15 @@ type ArenaConfig struct {
 	// uncached on two stripes and 240 ns on the level array
 	// (BenchmarkArenaChurn, PERF.md). A worker whose cache runs dry first
 	// takes a block of the lowest names parked in an idle worker cache —
-	// one no worker is drawing on — and leases a fresh block only when no
-	// other cache has names to give, so the names parked track the
-	// workers that are active rather than every per-P cache a goroutine
-	// has run on. Fresh blocks are leased
-	// first-fit — the lowest free words of the lowest stripe with room —
-	// so parked blocks sit at the bottom of the name space, and the
-	// backend under the cache is built packed: the cache reaches it only
-	// for whole-block refills and spills, so padding its words would only
-	// cost memory.
+	// one no worker draws from or releases into while the refill watches
+	// (at most 1 µs) — and leases a fresh block only when no other cache
+	// has names to give, so the names parked track the workers that are
+	// active rather than every per-P cache a goroutine has run on. Fresh
+	// blocks are leased first-fit — the lowest free words of the lowest
+	// stripe with room — so parked blocks sit at the bottom of the name
+	// space, and the backend under the cache is built packed: the cache
+	// reaches it only for whole-block refills and spills, so padding its
+	// words would only cost memory.
 	// Released names recirculate through the releasing worker's cache, so
 	// steady-state churn stops touching the backend entirely — the regime
 	// BENCH_5.json records. The trade-off is name tightness: cached names

@@ -669,6 +669,74 @@ func BenchmarkArenaChurn(b *testing.B) {
 	}
 }
 
+// BenchmarkArenaHandoff measures a producer/consumer split: one goroutine
+// acquires names in batches of 16 and hands each batch over a channel to
+// a second goroutine, which releases them; at most 8 batches are in
+// flight. One iteration is one name handed over, so ns/op is wall time per
+// name. With a lease cache (LeaseBlocks 64), the producer's slot runs dry
+// every block while the consumer's slot fills, so each refill meets a
+// sibling with names: the case in which a refill watches its siblings
+// before it takes from one (PERF.md, "Sibling refills"). refills/64 and
+// steals/64 are the cache's refills and steals per 64 names.
+func BenchmarkArenaHandoff(b *testing.B) {
+	const capacity, batch, inflight = 4096, 16, 8
+	for _, c := range []struct {
+		name string
+		cfg  ArenaConfig
+	}{
+		{"level", ArenaConfig{Capacity: capacity}},
+		{"sharded2", ArenaConfig{Capacity: capacity, Backend: ArenaBackendSharded, Shards: 2}},
+		{"level+lease64", ArenaConfig{Capacity: capacity, LeaseBlocks: 64}},
+		{"sharded2+lease64", ArenaConfig{Capacity: capacity, Backend: ArenaBackendSharded, Shards: 2, LeaseBlocks: 64}},
+	} {
+		b.Run(c.name, func(b *testing.B) {
+			c.cfg.Seed = 1
+			arena, err := NewArena(c.cfg)
+			if err != nil {
+				b.Fatal(err)
+			}
+			defer arena.Close()
+			full, free := make(chan []int, inflight), make(chan []int, inflight)
+			for range inflight {
+				free <- make([]int, 0, batch)
+			}
+			done := make(chan error, 1)
+			go func() {
+				var err error
+				for names := range full {
+					for _, n := range names {
+						if e := arena.Release(n); e != nil && err == nil {
+							err = e
+						}
+					}
+					free <- names[:0]
+				}
+				done <- err
+			}()
+			b.ResetTimer()
+			for i := 0; i < b.N; i += batch {
+				names := <-free
+				for range batch {
+					n, err := arena.Acquire()
+					if err != nil {
+						b.Fatal(err)
+					}
+					names = append(names, n)
+				}
+				full <- names
+			}
+			close(full)
+			if err := <-done; err != nil {
+				b.Error(err)
+			}
+			b.StopTimer()
+			st := arena.Stats()
+			b.ReportMetric(float64(st.CacheRefills)*64/float64(b.N), "refills/64")
+			b.ReportMetric(float64(st.CacheSteals)*64/float64(b.N), "steals/64")
+		})
+	}
+}
+
 // BenchmarkCountingDeviceParallel measures raw acquisition throughput on
 // real cores via the public wrapper.
 func BenchmarkCountingDeviceParallel(b *testing.B) {

@@ -47,14 +47,16 @@
 // when no sibling has names to give, so a worker whose proc moves to
 // another slot (a goroutine that runs on another P) leaves its names in
 // the slot it left only until its next refill takes them, not MaxCached
-// names in every slot it has touched. A sibling whose worker is drawing
-// on it keeps its names (busyWindow). Fresh blocks (and the direct
-// fallback) are leased first-fit through registry.BlockAcquirer — the
-// lowest free words of the lowest stripe with room — rather than through
-// AcquireN's home-stripe, random-word placement. Refills are rare, so
-// they can afford the lowest names, and the largest issued name then
-// tracks holders plus the active workers' parked blocks instead of the
-// stripe a worker's proc happens to call home or the number of slots.
+// names in every slot it has touched. A sibling whose worker draws from
+// it or releases into it keeps its names: the refill watches the
+// siblings' parked counts until each has moved, or for at most
+// busyWindow. Fresh blocks (and the direct fallback) are leased
+// first-fit through registry.BlockAcquirer — the lowest free words of
+// the lowest stripe with room — rather than through AcquireN's
+// home-stripe, random-word placement. Refills are rare, so they can
+// afford the lowest names, and the largest issued name then tracks
+// holders plus the active workers' parked blocks instead of the stripe a
+// worker's proc happens to call home or the number of slots.
 //
 // When provisioning is tight the layer degrades instead of starving: an
 // acquirer whose slot and refill come up empty steals single names from
@@ -309,22 +311,10 @@ func (c *Cache) Acquire(p *shm.Proc) int {
 	}
 	s := c.slotFor(p)
 	if s.mu.TryLock() {
-		for n := len(s.names); n > 0; n = len(s.names) {
-			name := s.names[n-1]
-			s.names = s.names[:n-1]
-			if !c.unmark(s, name) {
-				continue // unaccounted name: drop it, never grant
-			}
-			if c.draining(name) {
-				// A parked claim must not pin a draining level: shed it
-				// to the inner arena and pop the next name instead.
-				c.inner.Release(p, name)
-				continue
-			}
-			s.mu.Unlock()
-			return name
+		name := c.pop(p, s)
+		if name < 0 {
+			name = c.refill(p, s)
 		}
-		name := c.refill(p, s)
 		s.mu.Unlock()
 		if name >= 0 {
 			return name
@@ -462,24 +452,28 @@ func (c *Cache) lockParked(from, stop int) (*slot, int) {
 	return nil, stop
 }
 
-// busyWindow is how long a refill watches its siblings' parked counts
-// before it takes from one. A worker drawing names from its slot — one
-// that is filling up, the case in which a take splits words — moves the
-// count with every hit, about one per 100 ns, so a slot whose count moves
-// within the window is busy: taking its names would split the words its
-// worker holds between two workers, whose hits then write the same
-// cached-bit lines. A slot whose worker has moved on keeps its count
-// still, and so, often, does one whose worker releases as much as it
-// takes; that worker's slot seldom runs dry or needs the names it gives.
+// busyWindow is how long a refill watches a sibling's parked count before
+// it counts the sibling as idle. A worker drawing names from its slot or
+// releasing into it moves the count with every operation, and the watch
+// ends at the first move of the last sibling that has names, so among
+// busy siblings a refill waits only for their next operation. The full
+// window is spent only when a sibling holds still, and then a take
+// follows. A sibling whose worker runs slower than one operation per
+// window looks idle and may lose a block; its hits then share cached-bit
+// lines with the taker's, but they come less than once per window, so
+// the shared lines cost it little. PERF.md ("Sibling refills") has the
+// measurements behind the value.
 const busyWindow = time.Microsecond
 
 // fromSibling moves up to one block of the lowest names parked on an idle
-// sibling slot onto the (locked) slot s, reporting whether it found one:
-// a sibling with names parked whose count stayed still for busyWindow.
-// The names stay parked throughout — their cached bits stay set, only the
-// two slots' parked counts change — and arrive lowest on top, so s serves
-// them lowest first. Sorting the sibling's stack leaves its own remaining
-// names lowest on top as well, and its oldest (spilled first) highest.
+// sibling slot onto the (locked) slot s, reporting whether it found one.
+// Taking from a busy sibling would split the words its worker holds
+// between two workers, whose hits then write the same cached-bit lines;
+// see stillSiblings for the idle test. The names stay parked throughout —
+// their cached bits stay set, only the two slots' parked counts change —
+// and arrive lowest on top, so s serves them lowest first. Sorting the
+// sibling's stack leaves its own remaining names lowest on top as well,
+// and its oldest (spilled first) highest.
 func (c *Cache) fromSibling(p *shm.Proc, s *slot) bool {
 	home := p.ID() % len(c.slots)
 	stop := home + len(c.slots)
@@ -494,10 +488,8 @@ func (c *Cache) fromSibling(p *shm.Proc, s *slot) bool {
 		counts = append(counts, n)
 		some = some || n > 0
 	}
-	if !some {
+	if !some || !c.stillSiblings(home, counts) {
 		return false
-	}
-	for start := time.Now(); time.Since(start) < busyWindow; {
 	}
 	for sib, i := c.lockParked(home+1, stop); sib != nil; sib, i = c.lockParked(i+1, stop) {
 		if sib.parked.Load() != counts[i-home-1] {
@@ -519,9 +511,37 @@ func (c *Cache) fromSibling(p *shm.Proc, s *slot) bool {
 	return false
 }
 
-// pop takes the top name off the (locked) slot s for a grant: it clears
-// the name's cached bit, drops an unaccounted name and sheds a draining
-// one, and returns -1 once the stack runs dry.
+// stillSiblings watches the parked counts of the siblings after slot home,
+// counts[k] holding the count first read for slot home+1+k, and reports
+// whether some sibling with names kept its count for busyWindow. A
+// sibling whose count moves is busy and gets count -1, so no later
+// comparison matches it. The watch returns false at once when no sibling
+// has names, and as soon as every sibling that had names has moved.
+func (c *Cache) stillSiblings(home int, counts []int64) bool {
+	for start := time.Now(); ; {
+		still := false
+		for k, n := range counts {
+			if n <= 0 {
+				continue
+			}
+			if c.slots[(home+1+k)%len(c.slots)].parked.Load() != n {
+				counts[k] = -1
+			} else {
+				still = true
+			}
+		}
+		if !still || time.Since(start) >= busyWindow {
+			return still
+		}
+	}
+}
+
+// pop takes the top name off the (locked) slot s for a grant, returning
+// -1 once the stack runs dry. It is the one way a parked name leaves a
+// stack as a grant: the hit path, batch acquires, refills and steals all
+// pop. The name's cached bit is cleared; an unaccounted name is dropped,
+// and a draining one is shed to the inner arena, since a parked claim
+// must not pin a draining level.
 func (c *Cache) pop(p *shm.Proc, s *slot) int {
 	for n := len(s.names); n > 0; n = len(s.names) {
 		name := s.names[n-1]
@@ -638,19 +658,12 @@ func (c *Cache) AcquireN(p *shm.Proc, k int, out []int) []int {
 	}
 	s := c.slotFor(p)
 	if s.mu.TryLock() {
-		for k > 0 && len(s.names) > 0 {
-			n := len(s.names)
-			name := s.names[n-1]
-			s.names = s.names[:n-1]
-			if !c.unmark(s, name) {
-				continue // unaccounted name: drop it, never grant
-			}
-			if c.draining(name) {
-				c.inner.Release(p, name)
-				continue
+		for ; k > 0; k-- {
+			name := c.pop(p, s)
+			if name < 0 {
+				break
 			}
 			out = append(out, name)
-			k--
 		}
 		s.mu.Unlock()
 	}

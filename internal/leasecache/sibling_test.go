@@ -282,3 +282,63 @@ func TestPurgeFindsNameMovedMidSweep(t *testing.T) {
 		t.Fatalf("sibling refill served %d, want slot 2's lowest %d", served, parked[0])
 	}
 }
+
+// TestStillSiblings pins the idle watch without racing a second
+// goroutine: a sibling whose count differs from the count first read has
+// moved, so the watch returns false at once and marks it busy; a watch
+// with no sibling holding names returns false at once; and a watch whose
+// siblings all hold still reports true only after busyWindow.
+func TestStillSiblings(t *testing.T) {
+	c, _ := newSharded(1024, 1, Config{Block: 8, Slots: 4})
+	for i, n := range []int64{0, 5, 7, 0} {
+		c.slots[i].parked.Store(n)
+	}
+	// Siblings of slot 0 are slots 1, 2 and 3, in that order.
+	counts := []int64{5, 6, 0} // slot 2 moved from 6 to 7
+	start := time.Now()
+	if !c.stillSiblings(0, counts) {
+		t.Fatal("slot 1 held still, but the watch found no idle sibling")
+	}
+	if d := time.Since(start); d < busyWindow {
+		t.Fatalf("watch reported an idle sibling after %v, want at least %v", d, busyWindow)
+	}
+	if want := []int64{5, -1, 0}; !slices.Equal(counts, want) {
+		t.Fatalf("counts after the watch %v, want %v (the moved sibling marked busy)", counts, want)
+	}
+
+	counts = []int64{4, 6, 0} // both siblings with names moved
+	start = time.Now()
+	if c.stillSiblings(0, counts) {
+		t.Fatal("every sibling with names moved, but the watch found an idle one")
+	}
+	if d := time.Since(start); d >= busyWindow {
+		t.Logf("watch among moved siblings took %v (host stall?)", d)
+	}
+	if want := []int64{-1, -1, 0}; !slices.Equal(counts, want) {
+		t.Fatalf("counts after the watch %v, want %v", counts, want)
+	}
+
+	if c.stillSiblings(0, []int64{0, 0, 0}) {
+		t.Fatal("no sibling had names, but the watch found an idle one")
+	}
+
+	// A sibling that holds still gives its names.
+	c2, _ := newSharded(1024, 1, Config{Block: 8, Slots: 3})
+	p0, p1 := proc(0), proc(1)
+	var held []int
+	for range 8 {
+		held = append(held, c2.Acquire(p1))
+	}
+	for _, n := range held[:5] {
+		c2.Release(p1, n)
+	}
+	s := &c2.slots[0]
+	s.mu.Lock()
+	ok := c2.fromSibling(p0, s)
+	got := len(s.names)
+	s.mu.Unlock()
+	if !ok || got != 5 || c2.slots[1].parked.Load() != 0 {
+		t.Fatalf("fromSibling took %d names (ok %v), slot 1 keeps %d; want all 5 of slot 1's",
+			got, ok, c2.slots[1].parked.Load())
+	}
+}
