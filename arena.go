@@ -115,16 +115,16 @@ type ArenaConfig struct {
 	// pair a release with an acquire in about 110 ns, against 130 ns
 	// uncached on two stripes and 240 ns on the level array
 	// (BenchmarkArenaChurn, PERF.md). A worker whose cache runs dry first
-	// takes a block of the lowest names parked in an idle worker cache —
-	// one no worker draws from or releases into while the refill watches
-	// (at most 1 µs) — and leases a fresh block only when no other cache
-	// has names to give, so the names parked track the workers that are
-	// active rather than every per-P cache a goroutine has run on. Fresh
-	// blocks are leased first-fit — the lowest free words of the lowest
-	// stripe with room — so parked blocks sit at the bottom of the name
-	// space, and the backend under the cache is built packed: the cache
-	// reaches it only for whole-block refills and spills, so padding its
-	// words would only cost memory.
+	// takes every name parked in an idle worker cache — one no worker
+	// draws from or releases into while the refill watches (at most 1 µs)
+	// — and leases a fresh block only when no other cache has names to
+	// give, so the names parked track the workers that are active rather
+	// than every per-P cache a goroutine has run on. Fresh blocks are
+	// leased first-fit — the lowest free words of the lowest stripe with
+	// room — so parked blocks sit at the bottom of the name space, and
+	// either restock is issued lowest name first. The backend under the
+	// cache is built packed: the cache reaches it only for whole-block
+	// refills and spills, so padding its words would only cost memory.
 	// Released names recirculate through the releasing worker's cache, so
 	// steady-state churn stops touching the backend entirely — the regime
 	// BENCH_5.json records. The trade-off is name tightness: cached names
@@ -466,11 +466,11 @@ type ArenaStats struct {
 	// under release-side pressure (a worker cache at its cap). Always 0
 	// with LeaseBlocks off.
 	CacheSpills int64
-	// CacheSteals counts takings from another worker's cache: a block of
-	// up to LeaseBlocks of an idle cache's lowest parked names, taken by a
-	// worker cache that ran dry before it asks the backend, counts once,
-	// and so does a single name taken when both came up empty. Always 0
-	// with LeaseBlocks off.
+	// CacheSteals counts takings from another worker's cache: every name
+	// parked in an idle cache (at most 2×LeaseBlocks), taken by a worker
+	// cache that ran dry before it asks the backend, counts once, and so
+	// does a single name taken when both came up empty. Always 0 with
+	// LeaseBlocks off.
 	CacheSteals int64
 	// CapacityNow is the capacity resident right now: the summed sizes of
 	// an elastic arena's active levels, tracking live contention between

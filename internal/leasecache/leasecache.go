@@ -42,21 +42,28 @@
 // frontend: cached names are claimed but serve nobody, so the arena must
 // be provisioned with slack (capacity ≳ peak holders + MaxCached per
 // active worker for pressure-free operation). The trade is bounded by
-// where blocks come from. A slot that runs dry first takes a block of an
-// idle sibling slot's lowest parked names, and leases a fresh block only
-// when no sibling has names to give, so a worker whose proc moves to
-// another slot (a goroutine that runs on another P) leaves its names in
-// the slot it left only until its next refill takes them, not MaxCached
-// names in every slot it has touched. A sibling whose worker draws from
-// it or releases into it keeps its names: the refill watches the
-// siblings' parked counts until each has moved, or for at most
-// busyWindow. Fresh blocks (and the direct fallback) are leased
-// first-fit through registry.BlockAcquirer — the lowest free words of
-// the lowest stripe with room — rather than through AcquireN's
-// home-stripe, random-word placement. Refills are rare, so they can
-// afford the lowest names, and the largest issued name then tracks
-// holders plus the active workers' parked blocks instead of the stripe a
-// worker's proc happens to call home or the number of slots.
+// where blocks come from. A slot that runs dry first takes every name
+// parked on an idle sibling slot, and leases a fresh block only when no
+// sibling has names to give, so a worker whose proc moves to another slot
+// (a goroutine that runs on another P) leaves its names in the slot it
+// left only until its next refill takes them, not MaxCached names in
+// every slot it has touched. A sibling whose worker draws from it or
+// releases into it keeps its names: the refill watches the siblings'
+// parked counts until each has moved, or for at most busyWindow. Fresh
+// blocks (and the direct fallback) are leased first-fit through
+// registry.BlockAcquirer — the lowest free words of the lowest stripe
+// with room — rather than through AcquireN's home-stripe, random-word
+// placement. Refills are rare, so they can afford the lowest names, and
+// the largest issued name then tracks holders plus the active workers'
+// parked blocks instead of the stripe a worker's proc happens to call
+// home or the number of slots.
+//
+// Every restock, fresh block or sibling stock, lies lowest on top, so a
+// slot issues it from the bottom up and its highest names are the last
+// to leave the stack — often never, since releases push on top and the
+// next spill takes from the bottom. Hits keep plain LIFO order: sorting
+// on every hit would keep issued names tighter still, but costs the hit
+// path what the cache exists to save (PERF.md, "Restocks lowest first").
 //
 // When provisioning is tight the layer degrades instead of starving: an
 // acquirer whose slot and refill come up empty steals single names from
@@ -300,11 +307,11 @@ func (c *Cache) slotFor(p *shm.Proc) *slot {
 
 // Acquire implements longlived.Arena. Fast path: pop the worker slot's
 // stack — no step-counted shared-memory operation, no inner-arena work.
-// Slow paths, in order: refill the slot (a block of an idle sibling
-// slot's parked names, else a fresh first-fit block from the inner
-// arena), steal one name from another worker's stack, and finally a
-// direct inner acquire; a starved acquire opens the pressure window
-// before reporting the arena full.
+// Slow paths, in order: refill the slot (every name parked on an idle
+// sibling slot, else a fresh first-fit block from the inner arena), steal
+// one name from another worker's stack, and finally a direct inner
+// acquire; a starved acquire opens the pressure window before reporting
+// the arena full.
 func (c *Cache) Acquire(p *shm.Proc) int {
 	if c.failed.Load() {
 		return c.inner.Acquire(p)
@@ -335,12 +342,14 @@ func (c *Cache) Acquire(p *shm.Proc) int {
 	return -1
 }
 
-// refill restocks the (locked, empty) slot, returning one name of the
-// restock or -1 when none came. It first takes up to one block of an idle
-// sibling slot's lowest parked names (fromSibling), so parked names follow
-// the workers that are active instead of staying behind in every slot a
-// worker's proc has visited. Only when no sibling has names to give does
-// it lease a fresh block from the inner arena.
+// refill restocks the (locked, empty) slot, returning the lowest name of
+// the restock or -1 when none came. It first takes every name parked on an
+// idle sibling slot (fromSibling), so parked names follow the workers that
+// are active instead of staying behind in every slot a worker's proc has
+// visited. Only when no sibling has names to give does it lease a fresh
+// block from the inner arena. Either way the restock lies lowest on top,
+// so the slot grants it from the bottom up: the names a restock adds above
+// the live holders are the last to be issued.
 //
 // A first-fit AcquireBlock is one bounded sweep, so it runs under the slot
 // mutex. AcquireN can spin until names free up (MaxPasses 0), and a proc
@@ -368,6 +377,7 @@ func (c *Cache) refill(p *shm.Proc, s *slot) int {
 		s.names = got
 		return -1
 	}
+	lowestOnTop(got[pre:])
 	name := got[len(got)-1]
 	s.names = got[:len(got)-1]
 	if n := c.park(s, s.names[pre:]); pre+n < len(s.names) {
@@ -465,15 +475,28 @@ func (c *Cache) lockParked(from, stop int) (*slot, int) {
 // measurements behind the value.
 const busyWindow = time.Microsecond
 
-// fromSibling moves up to one block of the lowest names parked on an idle
-// sibling slot onto the (locked) slot s, reporting whether it found one.
-// Taking from a busy sibling would split the words its worker holds
+// lowestOnTop orders a run of stack entries highest first, so the top of
+// the stack — its last entry, where pop takes — holds the lowest name. A
+// first-fit block arrives ascending and is only reversed: refills sit on
+// the set-up path of every prefill, where a full sort of each block cost
+// about 4% of a 1000-name fill.
+func lowestOnTop(names []int) {
+	if !slices.IsSorted(names) {
+		slices.Sort(names)
+	}
+	slices.Reverse(names)
+}
+
+// fromSibling moves every name parked on an idle sibling slot onto the
+// (locked) slot s, reporting whether it found one. A stack holds at most
+// max(MaxCached, Block-1) names — a release into a full one spills — so
+// that bounds one move. Names left on an idle sibling would stay parked
+// where no worker draws, and later restocks would add fresh names above
+// them. Taking from a busy sibling would split the words its worker holds
 // between two workers, whose hits then write the same cached-bit lines;
 // see stillSiblings for the idle test. The names stay parked throughout —
 // their cached bits stay set, only the two slots' parked counts change —
-// and arrive lowest on top, so s serves them lowest first. Sorting the
-// sibling's stack leaves its own remaining names lowest on top as well,
-// and its oldest (spilled first) highest.
+// and arrive lowest on top, so s serves them lowest first.
 func (c *Cache) fromSibling(p *shm.Proc, s *slot) bool {
 	home := p.ID() % len(c.slots)
 	stop := home + len(c.slots)
@@ -496,13 +519,12 @@ func (c *Cache) fromSibling(p *shm.Proc, s *slot) bool {
 			sib.mu.Unlock()
 			continue
 		}
-		slices.SortFunc(sib.names, func(a, b int) int { return b - a })
-		cut := max(len(sib.names)-c.cfg.Block, 0)
-		moved := sib.names[cut:]
-		s.names = append(s.names, moved...)
-		sib.names = sib.names[:cut]
-		sib.parked.Add(-int64(len(moved)))
-		s.parked.Add(int64(len(moved)))
+		lowestOnTop(sib.names)
+		s.names = append(s.names, sib.names...)
+		moved := int64(len(sib.names))
+		sib.names = sib.names[:0]
+		sib.parked.Add(-moved)
+		s.parked.Add(moved)
 		c.moves.Add(1)
 		sib.mu.Unlock()
 		c.steals.Add(1)
@@ -634,7 +656,9 @@ func (c *Cache) Release(p *shm.Proc, name int) {
 
 // takeBlock pops up to one block of the oldest parked names from the
 // (locked) slot. Oldest first: they likely came from one leased word, so
-// the inner ReleaseN coalesces them back into few clearing steps.
+// the inner ReleaseN coalesces them back into few clearing steps, and a
+// restock lies lowest on top, so what is left of it at the bottom is its
+// highest names.
 func (c *Cache) takeBlock(s *slot) []int {
 	k := c.cfg.Block
 	if k > len(s.names) {
@@ -839,7 +863,7 @@ func (c *Cache) Cached() int {
 
 // Stats returns the slow-path event counters: blocks leased from the
 // inner arena, blocks spilled back to it, and cross-slot steals — each
-// sibling block a refill takes counts as one steal, as does each single
+// sibling stock a refill takes counts as one steal, as does each single
 // name the steal path pops. The fast path counts nothing.
 func (c *Cache) Stats() (refills, spills, steals int64) {
 	return c.refills.Load(), c.spills.Load(), c.steals.Load()

@@ -176,8 +176,8 @@ func TestIsHeldParked(t *testing.T) {
 }
 
 // TestPressureRelief pins the starvation valve: with every free name
-// parked in another worker's cache, an acquirer first takes a block of
-// them (one steal); once the parked names are exhausted the pressure
+// parked in another worker's cache, an acquirer first takes all of them
+// (one steal); once the parked names are exhausted the pressure
 // window routes releases straight to the inner pool.
 func TestPressureRelief(t *testing.T) {
 	c, _ := newSharded(64, 1, Config{Block: 64, Slots: 2, MaxCached: 64})
@@ -187,17 +187,17 @@ func TestPressureRelief(t *testing.T) {
 	if a0 < 0 {
 		t.Fatal("bootstrap acquire failed")
 	}
-	// B's empty slot takes A's 63 parked names as one block, serves one
+	// B's empty slot takes all of A's 63 parked names, serves the lowest
 	// and parks the other 62; the empty inner arena is never asked.
 	b0 := c.Acquire(pb)
 	if b0 < 0 {
 		t.Fatal("sibling refill failed with 63 names parked")
 	}
 	if refills, _, steals := c.Stats(); refills != 1 || steals != 1 {
-		t.Fatalf("Stats() refills %d, steals %d after one lease and one sibling block, want 1 and 1", refills, steals)
+		t.Fatalf("Stats() refills %d, steals %d after one lease and one sibling stock, want 1 and 1", refills, steals)
 	}
 	if a, b := c.slots[0].parked.Load(), c.slots[1].parked.Load(); a != 0 || b != 62 {
-		t.Fatalf("parked counts %d/%d after the sibling block, want 0/62", a, b)
+		t.Fatalf("parked counts %d/%d after the sibling stock, want 0/62", a, b)
 	}
 	// Drain every parked name; the next acquire is a genuine full report
 	// and must open the pressure window.
@@ -330,20 +330,42 @@ func TestHeartbeatCoversParkedNames(t *testing.T) {
 // fingerprint changing means the cache's serving order changed — which
 // would invalidate the recorded BENCH_5 latency distribution shape. Proc
 // 3's home stripe is 1, yet refills lease first-fit, so every grant must
-// also lie in stripe 0.
+// also lie in stripe 0. A refill grants its block's lowest name, and the
+// rest of the block comes out ascending: names released meanwhile are
+// pushed above it and granted first, but never reorder it.
 func TestGoldenGrantSequence(t *testing.T) {
 	c, inner := newSharded(128, 2, Config{Block: 16, Slots: 2})
 	p := proc(3)
 	h := fnv.New64a()
 	held := make([]int, 0, 32)
+	// block holds the names the last refill parked that have not been
+	// granted yet; last is the latest grant among the block's names.
+	block, last := map[int]bool{}, -1
 	for cyc := 0; cyc < 200; cyc++ {
 		for i := 0; i < 1+cyc%7; i++ {
+			before, _, _ := c.Stats()
 			n := c.Acquire(p)
 			if n < 0 {
 				t.Fatalf("cycle %d: acquire failed", cyc)
 			}
 			if n >= inner.ShardBase(1) {
 				t.Fatalf("cycle %d: granted %d, outside stripe 0 [0, %d)", cyc, n, inner.ShardBase(1))
+			}
+			if refills, _, _ := c.Stats(); refills > before {
+				clear(block)
+				for _, m := range c.slots[1].names {
+					if m < n {
+						t.Fatalf("cycle %d: refill granted %d above %d of its own block", cyc, n, m)
+					}
+					block[m] = true
+				}
+				last = n
+			} else if block[n] {
+				if n < last {
+					t.Fatalf("cycle %d: block name %d granted after %d", cyc, n, last)
+				}
+				delete(block, n)
+				last = n
 			}
 			fmt.Fprintf(h, "a%d.", n)
 			held = append(held, n)
@@ -355,7 +377,7 @@ func TestGoldenGrantSequence(t *testing.T) {
 			c.Release(p, n)
 		}
 	}
-	const want = "3c2bde8b73c2a109"
+	const want = "d3d703badc9f5323"
 	if got := fmt.Sprintf("%016x", h.Sum64()); got != want {
 		t.Fatalf("grant-sequence fingerprint %s, want %s", got, want)
 	}

@@ -83,3 +83,46 @@ func TestStarvedRefillNeverWedgesFlush(t *testing.T) {
 		})
 	}
 }
+
+// TestRefillGrantsLowestFirst pins the order a fresh block is issued in:
+// the refill grants the block's lowest name and parks the rest lowest on
+// top, so the block comes out ascending, whether it was leased first-fit
+// or through AcquireN.
+func TestRefillGrantsLowestFirst(t *testing.T) {
+	for _, tc := range []struct {
+		name  string
+		inner func(longlived.Arena) longlived.Arena
+	}{
+		{"block", func(a longlived.Arena) longlived.Arena { return a }},
+		{"acquire-n", func(a longlived.Arena) longlived.Arena { return noBlock{a} }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			inner := sharded.New(256, sharded.Config{Shards: 1, MaxPasses: 8, WordScan: true})
+			c := New(tc.inner(inner), Config{Block: 16, Slots: 1})
+			p := proc(0)
+			first := c.Acquire(p)
+			if first < 0 {
+				t.Fatal("acquire failed on an empty arena")
+			}
+			if refills, _, _ := c.Stats(); refills != 1 {
+				t.Fatalf("first acquire made %d refills, want 1", refills)
+			}
+			for _, n := range c.slots[0].names {
+				if n < first {
+					t.Fatalf("refill granted %d, above %d of its own block", first, n)
+				}
+			}
+			prev := first
+			for i := range 15 {
+				n := c.Acquire(p)
+				if n <= prev {
+					t.Fatalf("grant %d of the block is %d after %d, want ascending", i+1, n, prev)
+				}
+				prev = n
+			}
+			if refills, _, _ := c.Stats(); refills != 1 {
+				t.Fatalf("the block's 16 grants made %d refills, want 1", refills)
+			}
+		})
+	}
+}

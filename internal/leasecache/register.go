@@ -5,6 +5,10 @@ import (
 	"shmrename/internal/sharded"
 )
 
+// cacheHolder is the lease holder a registry-built lease-cached arena
+// stamps on every claim when Config.Epochs is set and Config.Holder is 0.
+const cacheHolder = 1
+
 func init() {
 	registry.Register(registry.Backend{
 		Name: "lease-cached",
@@ -23,6 +27,13 @@ func init() {
 			SelfHealing: true,
 		},
 		New: func(cfg registry.Config) registry.Arena {
+			// A cached block is one lease: a name leased through one slot's
+			// proc may be released through another's, and a per-proc stamp
+			// would make that release fail and leak the name. So the whole
+			// handle stamps one holder unless the caller names its own.
+			if cfg.Epochs != nil && cfg.Holder == 0 {
+				cfg.Holder = cacheHolder
+			}
 			// The production shape ArenaConfig.LeaseBlocks wires: per-worker
 			// word-block caches over the word-scan sharded frontend, which
 			// honors Shards and Elastic like the "sharded" backend. The

@@ -287,7 +287,8 @@ func TestPurgeFindsNameMovedMidSweep(t *testing.T) {
 // goroutine: a sibling whose count differs from the count first read has
 // moved, so the watch returns false at once and marks it busy; a watch
 // with no sibling holding names returns false at once; and a watch whose
-// siblings all hold still reports true only after busyWindow.
+// siblings all hold still reports true only after busyWindow. A still
+// sibling then gives its whole stock, more than one block, lowest on top.
 func TestStillSiblings(t *testing.T) {
 	c, _ := newSharded(1024, 1, Config{Block: 8, Slots: 4})
 	for i, n := range []int64{0, 5, 7, 0} {
@@ -322,23 +323,33 @@ func TestStillSiblings(t *testing.T) {
 		t.Fatal("no sibling had names, but the watch found an idle one")
 	}
 
-	// A sibling that holds still gives its names.
+	// A sibling that holds still gives all its names, though they are more
+	// than one block, and the taker serves them lowest first.
 	c2, _ := newSharded(1024, 1, Config{Block: 8, Slots: 3})
 	p0, p1 := proc(0), proc(1)
 	var held []int
-	for range 8 {
+	for range 16 {
 		held = append(held, c2.Acquire(p1))
 	}
-	for _, n := range held[:5] {
+	released := held[3:]
+	for _, n := range released { // ascending, so the highest lands on top
 		c2.Release(p1, n)
 	}
 	s := &c2.slots[0]
 	s.mu.Lock()
 	ok := c2.fromSibling(p0, s)
 	got := len(s.names)
+	var served []int
+	for n := c2.pop(p0, s); n >= 0; n = c2.pop(p0, s) {
+		served = append(served, n)
+	}
 	s.mu.Unlock()
-	if !ok || got != 5 || c2.slots[1].parked.Load() != 0 {
-		t.Fatalf("fromSibling took %d names (ok %v), slot 1 keeps %d; want all 5 of slot 1's",
-			got, ok, c2.slots[1].parked.Load())
+	if !ok || got != len(released) || c2.slots[1].parked.Load() != 0 {
+		t.Fatalf("fromSibling took %d names (ok %v), slot 1 keeps %d; want all %d of slot 1's",
+			got, ok, c2.slots[1].parked.Load(), len(released))
+	}
+	slices.Sort(released)
+	if !slices.Equal(served, released) {
+		t.Fatalf("slot 0 served the sibling's names as %v, want lowest first %v", served, released)
 	}
 }

@@ -215,7 +215,10 @@ type Config struct {
 	Epochs shm.EpochSource
 	// Holder, when non-zero, stamps every claim with this single holder
 	// identity instead of the backend default (per-proc identities for
-	// in-process backends, the process ID for external ones).
+	// in-process backends, the process ID for external ones). Cached
+	// backends pin one holder for the whole handle when it is 0: a name
+	// parked by one proc's slot may be released by another proc, which a
+	// per-proc stamp would refuse.
 	Holder uint64
 	// Alive overrides the liveness oracle of external backends' on-open
 	// recovery sweeps; in-process backends ignore it (their sweeps are
