@@ -656,8 +656,6 @@ func (cfg *ArenaConfig) backend() (registry.Backend, error) {
 	switch {
 	case c.External:
 		return b, fmt.Errorf("shmrename: backend %q is backed by external state; open it with OpenArena", name)
-	case c.DenseProcs:
-		return b, fmt.Errorf("shmrename: backend %q requires densely numbered process contexts (the simulated-harness model); it is not constructible behind the pooled-proc NewArena surface", name)
 	case cfg.Shards != 0 && !c.Sharded:
 		return b, fmt.Errorf("shmrename: ArenaConfig.Shards needs a sharded backend, got Shards=%d with backend %q", cfg.Shards, name)
 	case cfg.Elastic != nil && !c.Elastic && !c.Sharded:

@@ -17,8 +17,8 @@ import (
 func TestStatsCapacityAcrossBackends(t *testing.T) {
 	const capacity, hold = 256, 200
 	for _, b := range registry.All() {
-		if b.Caps.External || b.Caps.DenseProcs {
-			continue // OS-backed files / proc-ID-indexed backends: not NewArena surfaces
+		if b.Caps.External {
+			continue // OS-backed files: not a NewArena surface
 		}
 		a, err := NewArena(ArenaConfig{Capacity: capacity, Backend: ArenaBackend(b.Name), Seed: 3})
 		if err != nil {

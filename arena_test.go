@@ -180,9 +180,8 @@ func TestNewArenaConfigErrors(t *testing.T) {
 		// A caching backend leases whole words and caches already.
 		{ArenaConfig{Capacity: 128, Backend: "lease-cached", LeaseBlocks: 64}, "lease-cached"},
 		{ArenaConfig{Capacity: 128, Backend: "lease-cached", Probe: ProbeBit}, "lease-cached"},
-		// External and dense-proc backends have other surfaces.
+		// An external backend has another surface.
 		{ArenaConfig{Capacity: 8, Backend: "persist"}, "persist"},
-		{ArenaConfig{Capacity: 8, Backend: "exclusive-selection"}, "exclusive-selection"},
 	}
 	for i, c := range cases {
 		_, err := NewArena(c.cfg)

@@ -96,7 +96,7 @@ func TestDocsNameRealExperiments(t *testing.T) {
 		"internal/sched", "internal/sharded", "internal/core",
 		"internal/recovery", "internal/persist", "internal/leasecache",
 		"internal/registry", "internal/registry/conformance",
-		"internal/exclusive", "internal/integrity", "internal/chaos"} {
+		"internal/integrity", "internal/chaos"} {
 		if !strings.Contains(text, ref) {
 			t.Errorf("ALGORITHMS.md missing package reference %s", ref)
 		}

@@ -14,10 +14,10 @@ import (
 // backend, crossed with the registry Config.Scan override — the "bit" rows
 // are the paper's per-TAS probe path (the deterministic-mode golden
 // contract), the "word" rows the word-granular claim engine behind the same
-// config switch; BENCH_4.json records the same matrix. Sharded and cached
-// frontends are excluded (E19 measures them), as are dense-proc-ID backends
-// without a scan engine (their twin rows would coincide). Today the
-// enumeration yields level-array and tau-longlived, the recorded matrix.
+// config switch. Sharded and cached frontends are excluded (E19 measures
+// them). Today the enumeration yields elastic-level, level-array and
+// tau-longlived; BENCH_4.json records the level-array and tau-longlived
+// rows.
 func e17Backends() []struct {
 	Backend string
 	Scan    string
@@ -32,7 +32,7 @@ func e17Backends() []struct {
 	}
 	for _, b := range registry.All() {
 		c := b.Caps
-		if !c.Deterministic || !c.Releasable || c.Sharded || c.Cached || c.External || c.DenseProcs {
+		if !c.Deterministic || c.Sharded || c.Cached || c.External {
 			continue
 		}
 		for _, scan := range []string{"bit", "word"} {

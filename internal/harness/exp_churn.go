@@ -10,18 +10,18 @@ import (
 )
 
 // e15Backends enumerates the registry for the churn sweep: every
-// deterministic, releasable, directly churnable backend — no caching
-// layers (they may report full below capacity while names sit parked in
-// other workers' slots, breaking the every-worker-drains invariant) and no
-// external OS-backed arenas (native-only). A backend that registers with
-// those flags joins the E15 table with no change here; the enumeration
-// currently yields elastic-level, exclusive-selection, level-array,
-// sharded and tau-longlived, a superset of the canonical level-array and
-// tau-longlived pair whose (backend, n) rows BENCH_2.json tracks.
+// deterministic, directly churnable backend — no caching layers (they may
+// report full below capacity while names sit parked in other workers'
+// slots, breaking the every-worker-drains invariant) and no external
+// OS-backed arenas (native-only). A backend that registers with those
+// flags joins the E15 table with no change here; the enumeration
+// currently yields elastic-level, level-array, sharded and tau-longlived,
+// a superset of the canonical level-array and tau-longlived pair whose
+// (backend, n) rows BENCH_2.json tracks.
 func e15Backends() []registry.Backend {
 	var out []registry.Backend
 	for _, b := range registry.All() {
-		if b.Caps.Deterministic && b.Caps.Releasable && !b.Caps.Cached && !b.Caps.External {
+		if b.Caps.Deterministic && !b.Caps.Cached && !b.Caps.External {
 			out = append(out, b)
 		}
 	}

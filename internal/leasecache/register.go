@@ -18,7 +18,6 @@ func init() {
 		// names exist in other workers' slots — so the simulated churn
 		// invariants (every worker completes every cycle) do not apply.
 		Caps: registry.Caps{
-			Releasable:  true,
 			Batch:       true,
 			Leasable:    true,
 			Sharded:     true,

@@ -37,7 +37,6 @@ func init() {
 	registry.Register(registry.Backend{
 		Name: "level-array",
 		Caps: registry.Caps{
-			Releasable:    true,
 			Leasable:      true,
 			Deterministic: true,
 			SelfHealing:   true,
@@ -55,7 +54,6 @@ func init() {
 	registry.Register(registry.Backend{
 		Name: "elastic-level",
 		Caps: registry.Caps{
-			Releasable:    true,
 			Leasable:      true,
 			Deterministic: true, // resizes serialize under the simulated gate
 			Elastic:       true,
@@ -80,7 +78,6 @@ func init() {
 	registry.Register(registry.Backend{
 		Name: "tau-longlived",
 		Caps: registry.Caps{
-			Releasable:    true,
 			Leasable:      true,
 			Deterministic: true,
 			LeaksOnCrash:  true, // device bits; see TauConfig.Lease

@@ -18,7 +18,6 @@ func init() {
 		// claims are always lease-stamped, so Leasable holds even without
 		// Config.Epochs; the wall clock default makes it non-deterministic.
 		Caps: registry.Caps{
-			Releasable:  true,
 			Batch:       true,
 			Leasable:    true,
 			External:    true,

@@ -66,9 +66,7 @@ func cached(a registry.Arena) int {
 // contracts each backend is held to.
 func Suite(t *testing.T, b registry.Backend) {
 	t.Run("fill-unique", func(t *testing.T) { lawFillUnique(t, b) })
-	if b.Caps.Releasable {
-		t.Run("recycle", func(t *testing.T) { lawRecycle(t, b) })
-	}
+	t.Run("recycle", func(t *testing.T) { lawRecycle(t, b) })
 	if b.Caps.Batch {
 		t.Run("batch", func(t *testing.T) { lawBatch(t, b) })
 	}
@@ -207,14 +205,20 @@ func lawBatch(t *testing.T, b registry.Backend) {
 
 // lawStorm hammers the arena from real goroutines (CI runs this suite
 // under -race) with a monitor asserting that no name is ever held twice.
-// Non-caching in-process backends must additionally complete every cycle:
-// fewer workers than capacity can never starve.
+// Non-caching in-process backends must also show that contention is not
+// full: 24 workers hold at most 24 of the 96 names, so each acquire must
+// succeed within one pass (MaxPasses 1; with unbounded passes a false full
+// would hang the storm instead of failing it). Caching and external
+// backends may report full while names sit parked in other slots, so they
+// storm with 8 workers and unbounded passes.
 func lawStorm(t *testing.T, b registry.Backend) {
-	const (
-		workers = 8
-		cycles  = 150
-	)
-	a := build(t, b, registry.Config{Capacity: suiteCapacity, Label: "conf-storm-" + b.Name})
+	const cycles = 150
+	noFalseFull := !b.Caps.Cached && !b.Caps.External
+	workers, maxPasses := 8, 0
+	if noFalseFull {
+		workers, maxPasses = 24, 1
+	}
+	a := build(t, b, registry.Config{Capacity: suiteCapacity, MaxPasses: maxPasses, Label: "conf-storm-" + b.Name})
 	mon := longlived.NewMonitor(a.NameBound())
 	body := longlived.ChurnBody(a, mon, longlived.ChurnConfig{Cycles: cycles, HoldMin: 0, HoldMax: 4, Yield: true})
 	sched.RunNative(workers, 23, body)
@@ -224,8 +228,9 @@ func lawStorm(t *testing.T, b registry.Backend) {
 	if mon.Acquires() == 0 {
 		t.Fatal("storm made no progress")
 	}
-	if full := !b.Caps.Cached && !b.Caps.External; full && mon.Acquires() != workers*cycles {
-		t.Fatalf("storm completed %d of %d acquires — a worker observed the arena full below capacity", mon.Acquires(), workers*cycles)
+	if want := int64(workers * cycles); noFalseFull && mon.Acquires() != want {
+		t.Fatalf("storm completed %d of %d acquires — an acquire reported the arena full with at most %d of %d names held",
+			mon.Acquires(), want, workers, suiteCapacity)
 	}
 	p := nativeProc(0)
 	flush(a, p)
@@ -379,16 +384,15 @@ func lawLeaseRecovery(t *testing.T, b registry.Backend) {
 
 // lawSentinels exercises the public shmrename surface: constructible
 // backends must wrap ErrArenaFull, ErrNotHeld, and ErrClosed exactly as
-// documented; external and dense-proc backends must be refused with an
-// explanatory error rather than misbehave.
+// documented; external backends must be refused with an explanatory error
+// (OpenArena is their surface) rather than misbehave.
 func lawSentinels(t *testing.T, b registry.Backend) {
 	cfg := shmrename.ArenaConfig{Capacity: 8, Backend: shmrename.ArenaBackend(b.Name)}
 	na, err := shmrename.NewArena(cfg)
-	if b.Caps.External || b.Caps.DenseProcs {
+	if b.Caps.External {
 		if err == nil {
 			na.Close()
-			t.Fatalf("NewArena accepted %q, which must be refused (External=%v DenseProcs=%v)",
-				b.Name, b.Caps.External, b.Caps.DenseProcs)
+			t.Fatalf("NewArena accepted external backend %q, which must be refused", b.Name)
 		}
 		return
 	}

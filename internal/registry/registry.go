@@ -137,11 +137,10 @@ type Flusher interface {
 // Caps are the capability flags of a registered backend. The conformance
 // suite gates its laws on them: a law only runs against backends that claim
 // the capability it exercises, so one suite covers heterogeneous backends
-// without special-casing names.
+// without special-casing names. Every backend recycles released names
+// indefinitely and serves whatever proc IDs its callers mint (the public
+// arena pools procs with unbounded IDs); only what varies is a flag.
 type Caps struct {
-	// Releasable backends support Release/ReleaseN recycling names
-	// indefinitely (all current backends; a one-shot renamer would not).
-	Releasable bool
 	// Batch backends serve AcquireN/ReleaseN word-granularly — up to 64
 	// names per shared-memory step — instead of looping single operations.
 	Batch bool
@@ -189,13 +188,6 @@ type Caps struct {
 	// accounting) are scrub-checkable but not self-healing. Gates the
 	// conformance quarantine law.
 	SelfHealing bool
-	// DenseProcs backends require concurrently active proc IDs to be
-	// pairwise distinct modulo Config.Procs (the classic shared-memory model
-	// of N known processes — the exclusive-selection tournament assigns
-	// leaves by ID). The simulator and the conformance storms satisfy this
-	// with dense IDs 0..n-1; the public arena's pooled proc contexts mint
-	// unbounded IDs and cannot, so NewArena refuses these backends.
-	DenseProcs bool
 }
 
 // Config is the common construction surface every registered backend
@@ -224,11 +216,6 @@ type Config struct {
 	// recovery sweeps; in-process backends ignore it (their sweeps are
 	// driven by recovery.Sweeper, which takes its own oracle).
 	Alive func(holder uint64) bool
-	// Procs hints the maximum number of concurrently active distinct proc
-	// IDs, for backends whose arbitration structures are sized by
-	// contender count (the exclusive-selection tournament). 0 selects
-	// Capacity.
-	Procs int
 	// Label prefixes the backend's operation-space labels; "" selects the
 	// backend default. Conformance instances use distinct labels so interned
 	// operation spaces never collide across subtests.

@@ -17,7 +17,6 @@ import (
 func TestRegisteredSet(t *testing.T) {
 	want := []string{
 		"elastic-level",
-		"exclusive-selection",
 		"lease-cached",
 		"level-array",
 		"persist",

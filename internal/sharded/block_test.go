@@ -9,65 +9,52 @@ import (
 // 1 takes stripe 0's lowest free words, a block larger than stripe 0's room
 // continues in stripe 1, and the short stripe is hinted full.
 func TestAcquireBlockFirstFit(t *testing.T) {
-	for _, sub := range []SubBackend{SubLevel, SubTau} {
-		a := New(256, Config{Shards: 2, MaxPasses: 2, WordScan: true, Sub: sub, Label: "ts-block"})
-		t.Run(a.Label(), func(t *testing.T) {
-			p := nativeProc(1)
-			if h := a.home(p); h != 1 {
-				t.Fatalf("proc 1 has home stripe %d, want 1", h)
-			}
-			seen := make(map[int]bool)
-			take := func(k int) []int {
-				t.Helper()
-				got := a.AcquireBlock(p, k, nil)
-				for _, n := range got {
-					if seen[n] {
-						t.Fatalf("name %d leased twice", n)
-					}
-					seen[n] = true
+	a := New(256, Config{Shards: 2, MaxPasses: 2, WordScan: true, Label: "ts-block"})
+	t.Run(a.Label(), func(t *testing.T) {
+		p := nativeProc(1)
+		if h := a.home(p); h != 1 {
+			t.Fatalf("proc 1 has home stripe %d, want 1", h)
+		}
+		seen := make(map[int]bool)
+		take := func(k int) []int {
+			t.Helper()
+			got := a.AcquireBlock(p, k, nil)
+			for _, n := range got {
+				if seen[n] {
+					t.Fatalf("name %d leased twice", n)
 				}
-				return got
+				seen[n] = true
 			}
-			first := take(10)
-			if len(first) != 10 {
-				t.Fatalf("first block got %d of 10", len(first))
+			return got
+		}
+		first := take(10)
+		if !slices.Equal(first, []int{0, 1, 2, 3, 4, 5, 6, 7, 8, 9}) {
+			t.Fatalf("first block %v, want the lowest names 0..9", first)
+		}
+		k := a.ShardBase(1) // more than stripe 0 has left
+		spill := take(k)
+		if len(spill) != k {
+			t.Fatalf("block of %d got %d", k, len(spill))
+		}
+		in0 := 0
+		for _, n := range spill {
+			if n < a.ShardBase(1) {
+				in0++
 			}
-			for _, n := range first {
-				if n >= a.ShardBase(1) {
-					t.Fatalf("block name %d outside stripe 0 [0, %d)", n, a.ShardBase(1))
-				}
-			}
-			if sub == SubLevel && !slices.Equal(first, []int{0, 1, 2, 3, 4, 5, 6, 7, 8, 9}) {
-				t.Fatalf("first block %v, want the lowest names 0..9", first)
-			}
-			k := a.ShardBase(1) // more than stripe 0 has left
-			spill := take(k)
-			if len(spill) != k {
-				t.Fatalf("block of %d got %d", k, len(spill))
-			}
-			in0 := 0
-			for _, n := range spill {
-				if n < a.ShardBase(1) {
-					in0++
-				}
-			}
-			if sub == SubLevel && in0 != a.ShardBase(1)-10 {
-				t.Fatalf("block took %d names of stripe 0, want its %d free ones", in0, a.ShardBase(1)-10)
-			}
-			if in0 == 0 || in0 == k {
-				t.Fatalf("block of %d took %d names of stripe 0: no split across stripes", k, in0)
-			}
-			if rest := a.Shard(0).AcquireN(p, 1, nil); len(rest) != 0 {
-				t.Fatal("block moved on to stripe 1 while stripe 0 still had room")
-			}
-			if !a.ShardOccupied(0) {
-				t.Fatal("stripe 0 ran short of the block but is not hinted full")
-			}
-			if a.ShardOccupied(1) {
-				t.Fatal("stripe 1 served its whole share but is hinted full")
-			}
-		})
-	}
+		}
+		if in0 != a.ShardBase(1)-10 {
+			t.Fatalf("block took %d names of stripe 0, want its %d free ones", in0, a.ShardBase(1)-10)
+		}
+		if rest := a.Shard(0).AcquireN(p, 1, nil); len(rest) != 0 {
+			t.Fatal("block moved on to stripe 1 while stripe 0 still had room")
+		}
+		if !a.ShardOccupied(0) {
+			t.Fatal("stripe 0 ran short of the block but is not hinted full")
+		}
+		if a.ShardOccupied(1) {
+			t.Fatal("stripe 1 served its whole share but is hinted full")
+		}
+	})
 }
 
 // TestAcquireBlockSkipsHintedStripe: a stripe wrongly hinted full is

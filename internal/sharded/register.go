@@ -39,7 +39,6 @@ func init() {
 	registry.Register(registry.Backend{
 		Name: "sharded",
 		Caps: registry.Caps{
-			Releasable:    true,
 			Batch:         true,
 			Leasable:      true,
 			Sharded:       true,

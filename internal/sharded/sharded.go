@@ -1,8 +1,9 @@
 // Package sharded provides the striped frontend of the long-lived
 // renaming arena: the name space is partitioned across S independent
-// sub-arenas (package longlived backends), so that concurrent Acquire and
-// Release traffic from real goroutines scales with cores instead of
-// serializing on one backend's shared bitmap words.
+// level ladders (longlived.LevelArena, or longlived.ElasticArena when the
+// stripes are elastic), so that concurrent Acquire and Release traffic
+// from real goroutines scales with cores instead of serializing on one
+// backend's shared bitmap words.
 //
 // # Why stripe
 //
@@ -75,29 +76,6 @@ import (
 	"shmrename/internal/shm"
 )
 
-// SubBackend selects the per-shard arena implementation.
-type SubBackend uint8
-
-// Per-shard backends.
-const (
-	// SubLevel stripes longlived.LevelArena sub-arenas (the default).
-	SubLevel SubBackend = iota
-	// SubTau stripes longlived.TauArena sub-arenas.
-	SubTau
-)
-
-// String returns the report label of the sub-backend.
-func (s SubBackend) String() string {
-	switch s {
-	case SubLevel:
-		return "level"
-	case SubTau:
-		return "tau"
-	default:
-		return fmt.Sprintf("sub(%d)", uint8(s))
-	}
-}
-
 // Config parameterizes a sharded arena.
 type Config struct {
 	// Shards is the stripe count S (required, >= 1). Each shard is an
@@ -107,10 +85,8 @@ type Config struct {
 	// the arena full; 0 means unlimited (simulated runs rely on the
 	// scheduler's step budget instead).
 	MaxPasses int
-	// Sub selects the per-shard backend. Default SubLevel.
-	Sub SubBackend
 	// WordScan forwards the word-granular claim engine to every sub-arena
-	// (longlived.LevelConfig.WordScan / TauConfig.WordScan): probes and
+	// (longlived.LevelConfig.WordScan / ElasticConfig.WordScan): probes and
 	// backstops run one snapshot-scan-CAS per bitmap word, and batch
 	// acquires claim up to 64 names per step. Off by default — the per-bit
 	// probe path is the deterministic-mode golden-fingerprint contract.
@@ -127,9 +103,8 @@ type Config struct {
 	// ones: each shard's ladder grows and drains with its own occupancy
 	// (thresholds per registry.ElasticParams; MinCapacity is the per-shard
 	// floor), so resident memory and probe work track per-stripe
-	// contention. Requires SubLevel (the τ sub-backend is fixed-shape —
-	// setting both panics). The equal-stride name envelope is unchanged:
-	// an elastic ladder's NameBound equals the fixed ladder's for the same
+	// contention. The equal-stride name envelope is unchanged: an elastic
+	// ladder's NameBound equals the fixed ladder's for the same
 	// sub-capacity. Nil (the default) keeps the shards fixed.
 	Elastic *registry.ElasticParams
 	// Label prefixes the operation-space labels. Default "sharded".
@@ -146,6 +121,17 @@ func (c *Config) fill() {
 // tries after its home shard fails, before the deterministic full sweep.
 const stealProbes = 2
 
+// stripe is one shard: a fixed (longlived.LevelArena) or elastic
+// (longlived.ElasticArena) level ladder. Both lease first-fit blocks,
+// report their footprint and expose their stamped regions, so the
+// frontend delegates those without a fallback.
+type stripe interface {
+	longlived.Arena
+	longlived.Recoverable
+	registry.BlockAcquirer
+	registry.Footprint
+}
+
 // affinitySlots sizes the home-shard affinity cache. It is a power of two;
 // processes hash into it by PID, and a collision merely shares a
 // performance hint between two processes — safety never depends on the
@@ -159,7 +145,7 @@ const affinitySlots = 256
 // shards. All methods are safe for concurrent use by distinct procs.
 type Arena struct {
 	cfg    Config
-	shards []longlived.Arena
+	shards []stripe
 	base   []int // base[s] = first global name of shard s
 	stride int   // per-shard name-range width (identical across shards)
 	bound  int
@@ -199,23 +185,20 @@ func New(capacity int, cfg Config) *Arena {
 	subCap := (capacity + cfg.Shards - 1) / cfg.Shards
 	for s := 0; s < cfg.Shards; s++ {
 		label := fmt.Sprintf("%s:s%d", cfg.Label, s)
-		var sub longlived.Arena
-		switch cfg.Sub {
-		case SubLevel:
-			if e := cfg.Elastic; e != nil {
-				sub = longlived.NewElastic(subCap, longlived.ElasticConfig{
-					MinCapacity: e.MinCapacity,
-					GrowAt:      e.GrowAt,
-					ShrinkAt:    e.ShrinkAt,
-					ShrinkAfter: e.ShrinkAfter,
-					MaxPasses:   1, // one bounded pass per frontend attempt
-					WordScan:    cfg.WordScan,
-					Padded:      cfg.Padded,
-					Lease:       cfg.Lease,
-					Label:       label,
-				})
-				break
-			}
+		var sub stripe
+		if e := cfg.Elastic; e != nil {
+			sub = longlived.NewElastic(subCap, longlived.ElasticConfig{
+				MinCapacity: e.MinCapacity,
+				GrowAt:      e.GrowAt,
+				ShrinkAt:    e.ShrinkAt,
+				ShrinkAfter: e.ShrinkAfter,
+				MaxPasses:   1, // one bounded pass per frontend attempt
+				WordScan:    cfg.WordScan,
+				Padded:      cfg.Padded,
+				Lease:       cfg.Lease,
+				Label:       label,
+			})
+		} else {
 			sub = longlived.NewLevel(subCap, longlived.LevelConfig{
 				MaxPasses: 1, // one bounded pass per frontend attempt
 				WordScan:  cfg.WordScan,
@@ -223,20 +206,6 @@ func New(capacity int, cfg Config) *Arena {
 				Lease:     cfg.Lease,
 				Label:     label,
 			})
-		case SubTau:
-			if cfg.Elastic != nil {
-				panic("sharded: Config.Elastic requires the SubLevel sub-backend")
-			}
-			sub = longlived.NewTau(subCap, longlived.TauConfig{
-				MaxPasses:   1,
-				WordScan:    cfg.WordScan,
-				SelfClocked: true,
-				Padded:      cfg.Padded,
-				Lease:       cfg.Lease,
-				Label:       label,
-			})
-		default:
-			panic(fmt.Sprintf("sharded: unknown sub-backend %d", cfg.Sub))
 		}
 		a.shards = append(a.shards, sub)
 		a.base = append(a.base, a.bound)
@@ -260,8 +229,8 @@ func (a *Arena) Label() string {
 	if a.cfg.WordScan {
 		scan = "word"
 	}
-	return fmt.Sprintf("sharded-%s(shards=%d,steal=%d,scan=%s)",
-		a.cfg.Sub, len(a.shards), stealProbes, scan)
+	return fmt.Sprintf("sharded-level(shards=%d,steal=%d,scan=%s)",
+		len(a.shards), stealProbes, scan)
 }
 
 // Capacity implements longlived.Arena.
@@ -475,22 +444,16 @@ func (a *Arena) AcquireN(p *shm.Proc, k int, out []int) []int {
 // AcquireBlock implements registry.BlockAcquirer: one first-fit sweep over
 // the stripes in index order, skipping stripes hinted full, so blocks land
 // in the lowest stripe with room whatever the caller's home stripe. Each
-// stripe runs its own first-fit AcquireBlock; a stripe without one gets a
-// single AcquireN, bounded because sub-arenas are built with MaxPasses 1.
-// A stripe that comes back short is hinted full, as in acquireBatch. The
-// caller's affinity is left alone: AcquireN and Acquire keep their home
-// stripe routing.
+// stripe runs its own first-fit AcquireBlock. A stripe that comes back
+// short is hinted full, as in acquireBatch. The caller's affinity is left
+// alone: AcquireN and Acquire keep their home stripe routing.
 func (a *Arena) AcquireBlock(p *shm.Proc, k int, out []int) []int {
 	for s := 0; k > 0 && s < len(a.shards); s++ {
 		if a.ShardOccupied(s) {
 			continue
 		}
 		pre := len(out)
-		if b, ok := a.shards[s].(registry.BlockAcquirer); ok {
-			out = b.AcquireBlock(p, k, out)
-		} else {
-			out = a.shards[s].AcquireN(p, k, out)
-		}
+		out = a.shards[s].AcquireBlock(p, k, out)
 		for i := pre; i < len(out); i++ {
 			out[i] += a.base[s]
 		}
@@ -563,11 +526,7 @@ func (a *Arena) ReleaseN(p *shm.Proc, names []int) {
 func (a *Arena) LeaseDomains() []longlived.LeaseDomain {
 	var out []longlived.LeaseDomain
 	for s, sub := range a.shards {
-		rec, ok := sub.(longlived.Recoverable)
-		if !ok {
-			continue
-		}
-		for _, d := range rec.LeaseDomains() {
+		for _, d := range sub.LeaseDomains() {
 			d.Base += a.base[s]
 			out = append(out, d)
 		}
@@ -632,13 +591,11 @@ func (a *Arena) Shrink() bool {
 }
 
 // ResidentBytes implements registry.Footprint: the summed footprint of the
-// stripes that report one.
+// stripes.
 func (a *Arena) ResidentBytes() int64 {
 	var b int64
 	for _, s := range a.shards {
-		if fp, ok := s.(registry.Footprint); ok {
-			b += fp.ResidentBytes()
-		}
+		b += s.ResidentBytes()
 	}
 	return b
 }
@@ -689,22 +646,6 @@ func (a *Arena) Probeables() map[string]shm.Probeable {
 	return m
 }
 
-// Clock implements longlived.Arena: the composition of the shards' clock
-// hooks, or nil when no shard needs external clocking (level sub-arenas
-// and self-clocked τ sub-arenas).
-func (a *Arena) Clock() func() {
-	var hooks []func()
-	for _, s := range a.shards {
-		if h := s.Clock(); h != nil {
-			hooks = append(hooks, h)
-		}
-	}
-	if len(hooks) == 0 {
-		return nil
-	}
-	return func() {
-		for _, h := range hooks {
-			h()
-		}
-	}
-}
+// Clock implements longlived.Arena: nil, since level ladders, fixed or
+// elastic, need no external clocking.
+func (a *Arena) Clock() func() { return nil }

@@ -14,16 +14,8 @@ func nativeProc(id int) *shm.Proc {
 	return shm.NewProc(id, prng.NewStream(17, id), nil, 1<<22)
 }
 
-// testArenas returns one sharded instance per sub-backend.
-func testArenas(capacity, shards, maxPasses int) []*Arena {
-	return []*Arena{
-		New(capacity, Config{Shards: shards, MaxPasses: maxPasses, Sub: SubLevel, Label: "ts-level"}),
-		New(capacity, Config{Shards: shards, MaxPasses: maxPasses, Sub: SubTau, Label: "ts-tau"}),
-	}
-}
-
 func TestShardGeometry(t *testing.T) {
-	a := New(256, Config{Shards: 4, Sub: SubLevel, Label: "ts-geom"})
+	a := New(256, Config{Shards: 4, Label: "ts-geom"})
 	if a.Shards() != 4 {
 		t.Fatalf("shards = %d, want 4", a.Shards())
 	}
@@ -51,7 +43,7 @@ func TestShardGeometry(t *testing.T) {
 			a.NameBound(), a.Shards(), maxSub)
 	}
 	// Uneven split: capacity rounds up per shard, never down.
-	u := New(100, Config{Shards: 3, Sub: SubLevel, Label: "ts-geom-u"})
+	u := New(100, Config{Shards: 3, Label: "ts-geom-u"})
 	for s := 0; s < 3; s++ {
 		if got := u.Shard(s).Capacity(); got != 34 {
 			t.Fatalf("uneven shard %d capacity = %d, want 34", s, got)
@@ -64,7 +56,6 @@ func TestConfigPanics(t *testing.T) {
 		func() { New(0, Config{Shards: 1}) },
 		func() { New(16, Config{Shards: 0}) },
 		func() { New(16, Config{Shards: 17}) },
-		func() { New(16, Config{Shards: 2, Sub: SubBackend(99)}) },
 	}
 	for i, mk := range cases {
 		func() {
@@ -78,57 +69,56 @@ func TestConfigPanics(t *testing.T) {
 	}
 }
 
-// TestAcquireReleaseReacquire checks the long-lived contract end to end on
-// both sub-backends: at least capacity distinct in-bound names, full drain,
-// fresh generation after the drain.
+// TestAcquireReleaseReacquire checks the long-lived contract end to end:
+// at least capacity distinct in-bound names, full drain, fresh generation
+// after the drain.
 func TestAcquireReleaseReacquire(t *testing.T) {
 	const capacity = 96
-	for _, a := range testArenas(capacity, 3, 4) {
-		t.Run(a.Label(), func(t *testing.T) {
-			p := nativeProc(0)
-			var names []int
-			seen := make(map[int]bool)
-			for {
-				n := a.Acquire(p)
-				if n == -1 {
-					break
-				}
-				if n < 0 || n >= a.NameBound() {
-					t.Fatalf("acquire %d: name %d outside [0,%d)", len(names), n, a.NameBound())
-				}
-				if seen[n] {
-					t.Fatalf("acquire %d: name %d issued twice", len(names), n)
-				}
-				seen[n] = true
-				names = append(names, n)
-				if len(names) > a.NameBound() {
-					t.Fatal("more live names than the name bound")
-				}
+	a := New(capacity, Config{Shards: 3, MaxPasses: 4, Label: "ts-level"})
+	t.Run(a.Label(), func(t *testing.T) {
+		p := nativeProc(0)
+		var names []int
+		seen := make(map[int]bool)
+		for {
+			n := a.Acquire(p)
+			if n == -1 {
+				break
 			}
-			if len(names) < capacity {
-				t.Fatalf("only %d acquires before full, capacity %d guaranteed", len(names), capacity)
+			if n < 0 || n >= a.NameBound() {
+				t.Fatalf("acquire %d: name %d outside [0,%d)", len(names), n, a.NameBound())
 			}
-			if h := a.Held(); h != len(names) {
-				t.Fatalf("held %d, want %d", h, len(names))
+			if seen[n] {
+				t.Fatalf("acquire %d: name %d issued twice", len(names), n)
 			}
-			for _, n := range names {
-				if !a.IsHeld(n) {
-					t.Fatalf("name %d not held before release", n)
-				}
-				a.Touch(p, n)
-				a.Release(p, n)
-				if a.IsHeld(n) {
-					t.Fatalf("name %d still held after release", n)
-				}
+			seen[n] = true
+			names = append(names, n)
+			if len(names) > a.NameBound() {
+				t.Fatal("more live names than the name bound")
 			}
-			if h := a.Held(); h != 0 {
-				t.Fatalf("held %d after full drain, want 0", h)
+		}
+		if len(names) < capacity {
+			t.Fatalf("only %d acquires before full, capacity %d guaranteed", len(names), capacity)
+		}
+		if h := a.Held(); h != len(names) {
+			t.Fatalf("held %d, want %d", h, len(names))
+		}
+		for _, n := range names {
+			if !a.IsHeld(n) {
+				t.Fatalf("name %d not held before release", n)
 			}
-			if n := a.Acquire(p); n < 0 {
-				t.Fatal("reacquire after drain failed")
+			a.Touch(p, n)
+			a.Release(p, n)
+			if a.IsHeld(n) {
+				t.Fatalf("name %d still held after release", n)
 			}
-		})
-	}
+		}
+		if h := a.Held(); h != 0 {
+			t.Fatalf("held %d after full drain, want 0", h)
+		}
+		if n := a.Acquire(p); n < 0 {
+			t.Fatal("reacquire after drain failed")
+		}
+	})
 }
 
 // TestCrossShardUniqueness is the shard-correctness pin of the acceptance
@@ -137,7 +127,7 @@ func TestAcquireReleaseReacquire(t *testing.T) {
 // per-shard holder counts sum to the global count.
 func TestCrossShardUniqueness(t *testing.T) {
 	const capacity = 128
-	a := New(capacity, Config{Shards: 4, MaxPasses: 4, Sub: SubLevel, Label: "ts-cross"})
+	a := New(capacity, Config{Shards: 4, MaxPasses: 4, Label: "ts-cross"})
 	p := nativeProc(0)
 	owner := make(map[int]int) // name -> shard derived from the range split
 	for {
@@ -176,7 +166,7 @@ func TestCrossShardUniqueness(t *testing.T) {
 // by PID, a successful steal migrates the affinity, and a release
 // re-targets it at the freed shard.
 func TestAffinityMigration(t *testing.T) {
-	a := New(64, Config{Shards: 4, MaxPasses: 2, Sub: SubLevel, Label: "ts-aff"})
+	a := New(64, Config{Shards: 4, MaxPasses: 2, Label: "ts-aff"})
 	p := nativeProc(1)
 	if got := a.home(p); got != 1 {
 		t.Fatalf("cold home = %d, want pid%%shards = 1", got)
@@ -208,19 +198,16 @@ func TestAffinityMigration(t *testing.T) {
 }
 
 // TestShardedBatchAcquireRelease checks the batch contract through the
-// striped frontend, on both sub-backends and both scan modes: batches are
-// served across shards with globally distinct names, and ReleaseN drains
-// every touched shard.
+// striped frontend, in both scan modes: batches are served across shards
+// with globally distinct names, and ReleaseN drains every touched shard.
 func TestShardedBatchAcquireRelease(t *testing.T) {
 	const capacity = 96
 	mks := []*Arena{
-		New(capacity, Config{Shards: 3, MaxPasses: 4, Sub: SubLevel, Label: "ts-batch-l"}),
-		New(capacity, Config{Shards: 3, MaxPasses: 4, Sub: SubTau, Label: "ts-batch-t"}),
-		New(capacity, Config{Shards: 3, MaxPasses: 4, WordScan: true, Sub: SubLevel, Label: "ts-batch-lw"}),
-		New(capacity, Config{Shards: 3, MaxPasses: 4, WordScan: true, Sub: SubTau, Label: "ts-batch-tw"}),
+		New(capacity, Config{Shards: 3, MaxPasses: 4, Label: "ts-batch-l"}),
+		New(capacity, Config{Shards: 3, MaxPasses: 4, WordScan: true, Label: "ts-batch-lw"}),
 	}
 	for i, a := range mks {
-		scan := []string{"bit", "bit", "word", "word"}[i]
+		scan := []string{"bit", "word"}[i]
 		t.Run(a.Label()+"/"+scan, func(t *testing.T) {
 			p := nativeProc(0)
 			seen := make(map[int]bool)
@@ -258,7 +245,7 @@ func TestShardedBatchAcquireRelease(t *testing.T) {
 // clears it, and hinted shards are skipped by the steal phase without
 // spending steps while the sweep still serves from them.
 func TestOccupancyHints(t *testing.T) {
-	a := New(64, Config{Shards: 4, MaxPasses: 2, Sub: SubLevel, Label: "ts-hint"})
+	a := New(64, Config{Shards: 4, MaxPasses: 2, Label: "ts-hint"})
 	p := nativeProc(1) // home shard 1
 	// Fill home shard 1 structurally via the sub-arena.
 	sub := a.Shard(1)
@@ -324,8 +311,6 @@ func TestShardedGoldenDeterminism(t *testing.T) {
 	golden := map[string]fingerprint{
 		"level/fifo":   {acquires: 144, maxActive: 29, maxName: 63, acquireSteps: 230},
 		"level/random": {acquires: 144, maxActive: 25, maxName: 63, acquireSteps: 221},
-		"tau/fifo":     {acquires: 144, maxActive: 24, maxName: 63, acquireSteps: 534},
-		"tau/random":   {acquires: 144, maxActive: 19, maxName: 63, acquireSteps: 519},
 	}
 	run := func(mk func() *Arena, fast sched.FastMode) fingerprint {
 		a := mk()
@@ -347,10 +332,7 @@ func TestShardedGoldenDeterminism(t *testing.T) {
 	}
 	backends := map[string]func() *Arena{
 		"level": func() *Arena {
-			return New(64, Config{Shards: 4, Sub: SubLevel, Label: "ts-golden-l"})
-		},
-		"tau": func() *Arena {
-			return New(64, Config{Shards: 4, Sub: SubTau, Label: "ts-golden-t"})
+			return New(64, Config{Shards: 4, Label: "ts-golden-l"})
 		},
 	}
 	modes := map[string]sched.FastMode{"fifo": sched.FastFIFO, "random": sched.FastRandom}
@@ -379,8 +361,6 @@ func TestShardedWordScanGolden(t *testing.T) {
 	golden := map[string]fingerprint{
 		"level-word/fifo":   {acquires: 144, maxActive: 38, maxName: 59, acquireSteps: 144},
 		"level-word/random": {acquires: 144, maxActive: 33, maxName: 57, acquireSteps: 144},
-		"tau-word/fifo":     {acquires: 144, maxActive: 32, maxName: 62, acquireSteps: 482},
-		"tau-word/random":   {acquires: 144, maxActive: 19, maxName: 62, acquireSteps: 482},
 	}
 	run := func(mk func() *Arena, fast sched.FastMode) fingerprint {
 		a := mk()
@@ -402,10 +382,7 @@ func TestShardedWordScanGolden(t *testing.T) {
 	}
 	backends := map[string]func() *Arena{
 		"level-word": func() *Arena {
-			return New(64, Config{Shards: 4, WordScan: true, Sub: SubLevel, Label: "ts-goldenw-l"})
-		},
-		"tau-word": func() *Arena {
-			return New(64, Config{Shards: 4, WordScan: true, Sub: SubTau, Label: "ts-goldenw-t"})
+			return New(64, Config{Shards: 4, WordScan: true, Label: "ts-goldenw-l"})
 		},
 	}
 	modes := map[string]sched.FastMode{"fifo": sched.FastFIFO, "random": sched.FastRandom}
@@ -434,29 +411,27 @@ func TestShardedAdversarial(t *testing.T) {
 		"starve":      func() sched.Policy { return sched.Starve(0, 1, 2) },
 	}
 	for pname, mk := range policies {
-		for _, sub := range []SubBackend{SubLevel, SubTau} {
-			t.Run(sub.String()+"/"+pname, func(t *testing.T) {
-				a := New(32, Config{Shards: 4, Sub: sub, Label: "ts-adv-" + sub.String() + "-" + pname})
-				mon := longlived.NewMonitor(a.NameBound())
-				res := sched.Run(sched.Config{
-					N:         24,
-					Seed:      7,
-					Policy:    mk(),
-					Body:      longlived.ChurnBody(a, mon, longlived.ChurnConfig{Cycles: 2, HoldMin: 0, HoldMax: 3}),
-					AfterStep: a.Clock(),
-					Spaces:    a.Probeables(),
-				})
-				if err := mon.Err(); err != nil {
-					t.Fatal(err)
-				}
-				if got := sched.CountStatus(res, sched.Unnamed); got != 24 {
-					t.Fatalf("%d of 24 workers drained", got)
-				}
-				if h := a.Held(); h != 0 {
-					t.Fatalf("%d names held after drain", h)
-				}
+		t.Run("level/"+pname, func(t *testing.T) {
+			a := New(32, Config{Shards: 4, Label: "ts-adv-level-" + pname})
+			mon := longlived.NewMonitor(a.NameBound())
+			res := sched.Run(sched.Config{
+				N:         24,
+				Seed:      7,
+				Policy:    mk(),
+				Body:      longlived.ChurnBody(a, mon, longlived.ChurnConfig{Cycles: 2, HoldMin: 0, HoldMax: 3}),
+				AfterStep: a.Clock(),
+				Spaces:    a.Probeables(),
 			})
-		}
+			if err := mon.Err(); err != nil {
+				t.Fatal(err)
+			}
+			if got := sched.CountStatus(res, sched.Unnamed); got != 24 {
+				t.Fatalf("%d of 24 workers drained", got)
+			}
+			if h := a.Held(); h != 0 {
+				t.Fatalf("%d names held after drain", h)
+			}
+		})
 	}
 }
 
@@ -472,16 +447,10 @@ func TestShardedRaceStorm(t *testing.T) {
 	}
 	for _, mk := range []func() *Arena{
 		func() *Arena {
-			return New(workers, Config{Shards: 4, Padded: true, Sub: SubLevel, Label: "ts-storm-l"})
+			return New(workers, Config{Shards: 4, Padded: true, Label: "ts-storm-l"})
 		},
 		func() *Arena {
-			return New(workers, Config{Shards: 4, Padded: true, Sub: SubTau, Label: "ts-storm-t"})
-		},
-		func() *Arena {
-			return New(workers, Config{Shards: 4, WordScan: true, Padded: true, Sub: SubLevel, Label: "ts-storm-lw"})
-		},
-		func() *Arena {
-			return New(workers, Config{Shards: 4, WordScan: true, Padded: true, Sub: SubTau, Label: "ts-storm-tw"})
+			return New(workers, Config{Shards: 4, WordScan: true, Padded: true, Label: "ts-storm-lw"})
 		},
 	} {
 		a := mk()

@@ -9,10 +9,9 @@ import (
 // stormBackends derives the cross-backend roster of the public-API tests
 // from the registry: every registered backend NewArena accepts by name and
 // whose Release returns names directly to the shared pool — no external
-// OS-backed arenas (OpenArena is their surface), no dense-proc-ID backends
-// (the pooled public proc contexts violate their model), and no caching
-// layers (their parked names break the tests' exact held-count oracles;
-// the conformance suite covers them with cache-aware laws). Today the
+// OS-backed arenas (OpenArena is their surface) and no caching layers
+// (their parked names break the tests' exact held-count oracles; the
+// conformance suite covers them with cache-aware laws). Today the
 // enumeration yields elastic-level, level-array, sharded and
 // tau-longlived — and a new backend registering with those capabilities
 // joins every storm, lease, and batch test with no edits to their loops.
@@ -20,7 +19,7 @@ func stormBackends() []ArenaBackend {
 	var out []ArenaBackend
 	for _, b := range registry.All() {
 		c := b.Caps
-		if c.External || c.DenseProcs || c.Cached {
+		if c.External || c.Cached {
 			continue
 		}
 		out = append(out, ArenaBackend(b.Name))
