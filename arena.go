@@ -900,12 +900,15 @@ func (a *Arena) ReleaseAll(names []int) error {
 func (a *Arena) Leased() bool { return a.rec != nil }
 
 // Heartbeat renews the lease of every name this handle currently holds,
-// returning the number of renewed leases. A lease-enabled arena's holder
-// must call it more often than once per LeaseConfig.TTL, or a sweep may
-// presume the handle crashed (unless the Alive oracle vouches for it) and
-// reclaim its names. A name whose lease was already reclaimed is not
-// renewed — that name is lost to this holder. With leases off, Heartbeat
-// does nothing and returns 0.
+// returning the number of names renewed — held names plus names parked in
+// a lease cache. The handle is one holder, so its leases are kept per
+// 64-name bitmap word and a heartbeat costs one CAS per leased word, but
+// the count is still in names. A lease-enabled arena's holder must call
+// it more often than once per LeaseConfig.TTL, or a sweep may presume the
+// handle crashed (unless the Alive oracle vouches for it) and reclaim its
+// names. A name whose lease was already reclaimed is not renewed — that
+// name is lost to this holder. With leases off, Heartbeat does nothing and
+// returns 0.
 func (a *Arena) Heartbeat() int {
 	if a.rec == nil || a.closed.Load() {
 		return 0
@@ -920,7 +923,8 @@ func (a *Arena) Heartbeat() int {
 // SweepStale runs one recovery sweep: every lease that outlived its TTL
 // without renewal — and whose holder the Alive oracle (if any) does not
 // vouch for — is reclaimed, returning those names to the pool. It returns
-// the number of names reclaimed by this pass. Sweeping is safe at any
+// the number of names reclaimed by this pass (a reclaimed word lease
+// counts the names it covered). Sweeping is safe at any
 // time, from any goroutine, concurrently with churn and with the
 // background reaper: a live holder's racing heartbeat always wins over
 // the reclaim. With leases off, SweepStale does nothing and returns 0.

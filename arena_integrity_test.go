@@ -27,13 +27,26 @@ func integrityArena(t *testing.T, capacity int, quarantine bool) *Arena {
 }
 
 // injectViolation plants bit-clear/client-stamp damage — the irreparable
-// class — on one free name of the arena, returning the global name.
+// class — on one free name of the arena, returning the global name. A
+// public arena has one holder and keeps word records, so the damage is an
+// owned bit over the clear claim bit.
 func injectViolation(t *testing.T, a *Arena) int {
 	t.Helper()
 	for _, d := range a.rec.LeaseDomains() {
-		for i := 0; i < d.Stamps.Size(); i++ {
-			if !d.IsHeld(i) && d.Stamps.Load(i) == 0 {
-				d.Stamps.Inject(i, shm.PackStamp(12345, a.epochs.Now()))
+		st := d.Stamps
+		for i := 0; i < st.Size(); i++ {
+			if d.IsHeld(i) {
+				continue
+			}
+			if !st.PerWord() {
+				if st.Load(i) == 0 {
+					st.Inject(i, shm.PackStamp(12345, a.epochs.Now()))
+					return d.Base + i
+				}
+				continue
+			}
+			if w, bit := i>>6, uint64(1)<<(i&63); st.Owned(w)&bit == 0 {
+				st.InjectOwned(w, st.Owned(w)|bit)
 				return d.Base + i
 			}
 		}

@@ -360,3 +360,51 @@ func TestArenaStatsRaceStorm(t *testing.T) {
 		}
 	}
 }
+
+// TestWordLeaseFootprint pins what one-holder word records cost on the
+// cached-leased shape: two stripes at capacity 4096 under 64-name lease
+// blocks, holding 1,000 names from two goroutines, keep their resident
+// bytes under 3 B per holder (per-name stamps kept 9,544 B here, 9,200 of
+// them stamp pages), and a heartbeat still counts names — held plus
+// parked — not the words it renewed.
+func TestWordLeaseFootprint(t *testing.T) {
+	a, err := NewArena(ArenaConfig{
+		Backend:     ArenaBackendSharded,
+		Shards:      2,
+		Capacity:    4096,
+		LeaseBlocks: 64,
+		Lease:       &LeaseConfig{TTL: time.Hour},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer a.Close()
+	var wg sync.WaitGroup
+	errs := make(chan error, 2)
+	for range 2 {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for range 500 {
+				if _, err := a.Acquire(); err != nil {
+					errs <- err
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		t.Fatal(err)
+	}
+	rb := a.Stats().ResidentBytes
+	if rb > 3000 {
+		t.Fatalf("ResidentBytes = %d holding 1000 names, want ≤ 3000", rb)
+	}
+	t.Logf("%d B resident holding 1000 names", rb)
+	parked := a.cache.Cached()
+	if got := a.Heartbeat(); got != 1000+parked {
+		t.Fatalf("Heartbeat() = %d, want %d held + %d parked names", got, 1000, parked)
+	}
+}

@@ -83,13 +83,24 @@ func Locate(a longlived.Recoverable, name int) (longlived.LeaseDomain, int, bool
 	return longlived.LeaseDomain{}, 0, false
 }
 
+// unstamped reports whether domain-local name i carries no lease claim:
+// a zero stamp, or on word records a clear owned bit outside a quarantined
+// word.
+func unstamped(d longlived.LeaseDomain, i int) bool {
+	if !d.Stamps.PerWord() {
+		return d.Stamps.Load(i) == 0
+	}
+	h, _ := shm.UnpackStamp(d.Stamps.Load(i >> 6))
+	return h != shm.HolderQuarantine && d.Stamps.Owned(i>>6)&(1<<(uint(i)&63)) == 0
+}
+
 // freeVictim draws a seeded name that is free and unstamped — the blast
 // radius of a fault that hits idle state.
 func (in *Injector) freeVictim() (longlived.LeaseDomain, int, bool) {
 	var cand []int
 	for _, d := range in.arena.LeaseDomains() {
 		for i := 0; i < d.Stamps.Size(); i++ {
-			if !d.IsHeld(i) && d.Stamps.Load(i) == 0 {
+			if !d.IsHeld(i) && unstamped(d, i) {
 				cand = append(cand, d.Base+i)
 			}
 		}
@@ -104,14 +115,20 @@ func (in *Injector) freeVictim() (longlived.LeaseDomain, int, bool) {
 
 // GarbageStamp injects a KindGarbageStamp corruption on a seeded free
 // name: a raw store of a client stamp (random holder, current epoch) where
-// none belongs. Returns false when the arena has no free unstamped name.
+// none belongs — on word records, the name's owned bit, since the word's
+// lease is shared with its other names. Returns false when the arena has
+// no free unstamped name.
 func (in *Injector) GarbageStamp(now uint64) (Injection, bool) {
 	d, local, ok := in.freeVictim()
 	if !ok {
 		return Injection{}, false
 	}
 	holder := uint64(1 + in.r.Intn(1<<16))
-	d.Stamps.Inject(local, shm.PackStamp(holder, now))
+	if w := local >> 6; d.Stamps.PerWord() {
+		d.Stamps.InjectOwned(w, d.Stamps.Owned(w)|1<<(uint(local)&63))
+	} else {
+		d.Stamps.Inject(local, shm.PackStamp(holder, now))
+	}
 	return Injection{Kind: KindGarbageStamp, Name: d.Base + local}, true
 }
 

@@ -266,7 +266,11 @@ func e21Withdrawn(a longlived.Recoverable) (quar, held map[int]bool) {
 	quar, held = map[int]bool{}, map[int]bool{}
 	for _, d := range a.LeaseDomains() {
 		for i := 0; i < d.Stamps.Size(); i++ {
-			if h, _ := shm.UnpackStamp(d.Stamps.Load(i)); h == shm.HolderQuarantine {
+			s := i
+			if d.Stamps.PerWord() {
+				s = i >> 6
+			}
+			if h, _ := shm.UnpackStamp(d.Stamps.Load(s)); h == shm.HolderQuarantine {
 				quar[d.Base+i] = true
 			} else if d.IsHeld(i) {
 				held[d.Base+i] = true

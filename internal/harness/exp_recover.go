@@ -19,10 +19,12 @@ const e18TTL = 8
 // e18Backends enumerates the registry for fault injection: every leasable
 // backend that the in-process crash machinery can drive — no external
 // OS-backed arenas (they run their own on-open recovery against real
-// processes) and no caching layers (a parked block's stamps belong to the
-// worker that leased it, so the survivor heartbeat-count oracle does not
-// apply). The τ arena's documented device-bit leak is read off
-// Caps.LeaksOnCrash instead of a hand-maintained flag.
+// processes) and no caching layers. A cached arena has one holder for
+// every proc (the lease-cached registration pins it), so a crashed
+// worker's names share leases with the survivors' and cannot be reclaimed
+// apart from them, while E18 crashes single workers and checks that the
+// survivors keep everything. The τ arena's documented device-bit leak is
+// read off Caps.LeaksOnCrash instead of a hand-maintained flag.
 func e18Backends() []registry.Backend {
 	var out []registry.Backend
 	for _, b := range registry.All() {

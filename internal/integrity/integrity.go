@@ -54,9 +54,27 @@
 // still serving live holders); the arena degrades instead of dying, which
 // is the point — the alternative on detected corruption is a process panic
 // or a silent exclusivity violation.
+//
+// # Word records
+//
+// On a word-record array (shm.NewWordStamps) the invariant is per word:
+// the owned mask is a subset of the bitmap word. Claims set the bit before
+// the owned bit, releases and reclaims clear the owned bit before the bit,
+// so an owned bit over a clear claim bit arises in no legal execution —
+// the scrubber quarantines its word, as it would a client stamp over a
+// clear bit. The check reads the lease, the bitmap, the owned mask, the
+// bitmap and the lease again (one step each) and flags only owned bits
+// both bitmap reads lack under an unchanged lease, confirmed by repeated
+// observations, so a claim or release sliding between the reads cannot
+// fake a violation. Quarantining a word CASes its lease to the quarantine
+// mark, then seizes every free bit; claims and releases in the word walk
+// away from then on, so every name of the word is withdrawn at once. Set
+// bits under a zero lease are adopted and stale residual leases over
+// empty words dropped, as the recovery sweep would.
 package integrity
 
 import (
+	"math/bits"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -182,6 +200,12 @@ func (s *Scrubber) Scrub(p *shm.Proc) Result {
 	var res Result
 	quarNames := 0
 	for _, d := range s.arena.LeaseDomains() {
+		if d.Stamps.PerWord() {
+			for w := 0; w < d.Stamps.Slots(); w++ {
+				quarNames += s.scrubWord(p, d, w, now, &res)
+			}
+			continue
+		}
 		size := d.Stamps.Size()
 		for lo := 0; lo < size; lo += 64 {
 			hi := min(lo+64, size)
@@ -325,6 +349,114 @@ func (s *Scrubber) quarantineWord(p *shm.Proc, d longlived.LeaseDomain, lo, hi i
 		}
 	}
 	return quarantined, repaired
+}
+
+// wordConfirmations is how many consecutive observations must show the
+// same owned-but-clear bits before the scrubber quarantines their word.
+const wordConfirmations = 3
+
+// scrubWord checks word record w of a word-record domain, repairs or
+// quarantines it, and returns the names of the word withdrawn after the
+// pass (see the package comment's "Word records").
+func (s *Scrubber) scrubWord(p *shm.Proc, d longlived.LeaseDomain, w int, now uint64, res *Result) int {
+	st := d.Stamps
+	lo, hi := st.WordNames(w)
+	res.Scanned += hi - lo
+	obs, held, bad, ok := s.observeWord(p, d, w)
+	if !ok {
+		return 0 // concurrent protocol activity; the next pass re-checks
+	}
+	res.Repaired += s.purgeParked(d, lo, hi, held)
+	h, e := shm.UnpackStamp(obs)
+	var violations int
+	switch {
+	case h == shm.HolderQuarantine:
+		res.Repaired += s.saturateWord(p, d, lo, hi)
+		return hi - lo
+	case h == shm.HolderSuspect:
+		return 0 // reclaim in flight: recovery's jurisdiction
+	case bad != 0:
+		for i := 0; i < wordConfirmations-1 && bad != 0; i++ {
+			var again uint64
+			if obs, _, again, ok = s.observeWord(p, d, w); !ok {
+				return 0
+			}
+			bad &= again
+		}
+		violations = bits.OnesCount64(bad)
+	case h != shm.HolderOrphan && h != shm.HolderTomb && obs != 0 &&
+		s.cfg.MaxEpochAhead > 0 && e > now && e-now > s.cfg.MaxEpochAhead:
+		violations = 1 // a future-dated lease never goes stale
+	case obs == 0 && held != 0:
+		if st.AdoptWord(p, w, obs, now) {
+			res.Repaired += bits.OnesCount64(held)
+		}
+		return 0
+	case (h == shm.HolderOrphan || h == shm.HolderTomb) && held == 0 && shm.StampStale(now, e, s.cfg.TTL):
+		if st.DropWord(p, w, obs) {
+			res.Repaired++
+		}
+		return 0
+	default:
+		return 0
+	}
+	if violations == 0 {
+		return 0
+	}
+	if !s.cfg.Quarantine || d.Seize == nil {
+		res.Unrepaired += violations
+		return 0
+	}
+	if !st.QuarantineWord(p, w, obs, now) {
+		return 0 // the lease moved; the next pass re-observes
+	}
+	s.saturateWord(p, d, lo, hi)
+	res.Quarantined += hi - lo
+	return hi - lo
+}
+
+// observeWord reads word w's lease, bitmap word, owned mask, bitmap word
+// and lease, one step each. It returns the lease, the claim bits and the
+// owned bits both bitmap reads lack; ok is false when the lease changed
+// between its two reads.
+func (s *Scrubber) observeWord(p *shm.Proc, d longlived.LeaseDomain, w int) (obs, held, bad uint64, ok bool) {
+	st := d.Stamps
+	obs = st.LeaseWord(p, w)
+	held = st.BitsWord(p, w)
+	owned := st.OwnedWord(p, w)
+	again := st.BitsWord(p, w)
+	if st.LeaseWord(p, w) != obs {
+		return 0, 0, 0, false
+	}
+	return obs, held, owned &^ (held | again), true
+}
+
+// purgeParked evicts the phantom parked names of [lo, hi): parked in the
+// cache above while their claim bit reads clear.
+func (s *Scrubber) purgeParked(d longlived.LeaseDomain, lo, hi int, held uint64) int {
+	if s.cfg.Parked == nil || s.cfg.Purge == nil {
+		return 0
+	}
+	purged := 0
+	for i := lo; i < hi; i++ {
+		g := d.Base + i
+		if held&(1<<(uint(i)&63)) == 0 && s.cfg.Parked(g) && !d.IsHeld(i) && s.cfg.Parked(g) && s.cfg.Purge(g) {
+			purged++
+		}
+	}
+	return purged
+}
+
+// saturateWord seizes every free name of [lo, hi) in a quarantined word
+// and returns how many it seized.
+func (s *Scrubber) saturateWord(p *shm.Proc, d longlived.LeaseDomain, lo, hi int) int {
+	seized := 0
+	for i := lo; i < hi; i++ {
+		if d.Seize != nil && !d.IsHeld(i) && d.Seize(p, i) {
+			seized++
+		}
+	}
+	return seized
 }
 
 // Run starts a background goroutine scrubbing every interval with the

@@ -74,11 +74,12 @@
 //
 // # Crash recovery
 //
-// The layer composes with the lease/recovery stamps of PR 5/6: the inner
-// arena stamps every claim with the handle's holder identity, so a cached
-// block is one lease — HeartbeatHolder renews parked names along with
-// granted ones, and a crashed process loses its cached blocks to the
-// recovery sweep wholesale. LeaseDomains wraps each domain's Reclaim to
+// The layer composes with the lease/recovery stamps: the inner arena
+// stamps every claim with the handle's holder identity, so a cached block
+// is one lease — with one holder the inner arena keeps one lease record
+// per 64-name bitmap word, the unit a block is cut from. HeartbeatHolder
+// renews parked names along with granted ones, and a crashed process
+// loses its cached blocks to the recovery sweep wholesale. LeaseDomains wraps each domain's Reclaim to
 // purge the name from the cache before the bit is freed, so a sweep that
 // (correctly or due to a lapsed TTL) reclaims a cached name can never
 // leave it on a stack to be granted twice.

@@ -303,7 +303,7 @@ func TestHeartbeatCoversParkedNames(t *testing.T) {
 	holder := uint64(77)
 	inner := longlived.NewLevel(64, longlived.LevelConfig{
 		MaxPasses: 8, WordScan: true,
-		Lease: &longlived.LeaseOpts{Epochs: ep, Holder: func(*shm.Proc) uint64 { return holder }},
+		Lease: &longlived.LeaseOpts{Epochs: ep, Holder: holder},
 	})
 	c := New(inner, Config{Block: 16, Slots: 1})
 	p := proc(1)

@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"shmrename/internal/longlived"
+	"shmrename/internal/prng"
 	"shmrename/internal/sharded"
 	"shmrename/internal/shm"
 )
@@ -87,6 +88,12 @@ func (h reclaimHook) LeaseDomains() []longlived.LeaseDomain {
 	return domains
 }
 
+// holderPID returns a proc whose per-proc lease holder is 1 and whose
+// cache slot is 3i mod 4: its PID is i·MaxHolder, and MaxHolder ≡ 3 mod 4.
+func holderPID(i int) *shm.Proc {
+	return shm.NewProc(i*shm.MaxHolder, prng.NewStream(7, i), nil, 0)
+}
+
 // TestSiblingRefillPurgeStorm races sibling refills against the recovery
 // reclaim: four workers churn a tight arena, each moving its proc to the
 // next slot every 64 operations and holding a target that rises and
@@ -110,8 +117,11 @@ func TestSiblingRefillPurgeStorm(t *testing.T) {
 	inner := sharded.New(capacity, sharded.Config{
 		Shards: 2, MaxPasses: 8, WordScan: true,
 		// One holder for every proc, as the public arena stamps its PID: a
-		// name leased by one slot's proc is released by another's.
-		Lease: &longlived.LeaseOpts{Epochs: ep, Holder: func(*shm.Proc) uint64 { return 1 }},
+		// name leased by one slot's proc is released by another's. The
+		// purger reclaims single names, so the stamps stay per name: the
+		// default per-proc holder (PID+1, folded into range) with every
+		// PID a multiple of MaxHolder (holderPID) is holder 1 throughout.
+		Lease: &longlived.LeaseOpts{Epochs: ep},
 	})
 	var gate sync.RWMutex
 	var c *Cache
@@ -148,10 +158,10 @@ func TestSiblingRefillPurgeStorm(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			// Worker w's proc s lands on slot s.
+			// Worker w's procs land on the four slots, one each.
 			procs := make([]*shm.Proc, workers)
 			for s := range procs {
-				procs[s] = proc(s + workers*w)
+				procs[s] = holderPID(s + workers*w)
 			}
 			r := procs[0].Rand()
 			var held []int
@@ -183,7 +193,7 @@ func TestSiblingRefillPurgeStorm(t *testing.T) {
 	go func() { wg.Wait(); close(done) }()
 
 	domains := c.LeaseDomains()
-	pp := proc(workers)
+	pp := holderPID(workers)
 	r := pp.Rand()
 	reclaimed := 0
 	for running := true; running; {

@@ -256,7 +256,7 @@ func (a *ElasticArena) installLevel(li int) {
 		size:  a.sizes[li],
 	}
 	if a.cfg.Lease.enabled() {
-		lvl.stamps = shm.NewStamps(label+":lease", a.sizes[li])
+		lvl.stamps = a.cfg.Lease.newStamps(label+":lease", a.sizes[li])
 		lvl.space.AttachStamps(lvl.stamps, 0)
 	}
 	a.levels[li].Store(lvl)

@@ -2,16 +2,23 @@ package longlived
 
 import (
 	"fmt"
+	"math/bits"
 
 	"shmrename/internal/shm"
 )
 
-// LeaseOpts enables the crash-recovery lease layer on an arena backend: a
-// per-name stamp (shm.Stamps) packing holder identity and lease epoch,
+// LeaseOpts enables the crash-recovery lease layer on an arena backend:
+// lease stamps (shm.Stamps) packing holder identity and lease epoch,
 // published on every claim and retired on every release, so a recovery
 // sweep (package recovery) can reclaim names whose holder died. A nil
 // LeaseOpts — or one without an epoch source — leaves the backend exactly
 // as before: no stamp array, no extra steps, golden fingerprints intact.
+//
+// The stamp layout follows the holder. With one holder for every claim
+// (Holder nonzero) the arena keeps one word record per 64-name bitmap
+// word — a lease plus an owned mask (shm.NewWordStamps) — since a word's
+// names then share one lease anyway. With a holder per proc (Holder zero)
+// it keeps one stamp per name.
 //
 // A word-block lease cache (package leasecache) layered above a leased
 // backend holds each cached block as one ordinary lease: parked names are
@@ -22,30 +29,42 @@ type LeaseOpts struct {
 	// Epochs is the lease clock shared by holders and reapers. Non-nil
 	// enables the lease layer.
 	Epochs shm.EpochSource
-	// Holder maps a proc to its holder identity in [1, shm.MaxHolder].
-	// Defaults to PID+1 — each proc is its own holder, the finest-grained
-	// recovery unit. The public API overrides it with one identity per
-	// Arena handle (per OS process for mmap-backed arenas).
-	Holder func(p *shm.Proc) uint64
+	// Holder is the one holder identity, in [1, shm.MaxHolder], every
+	// claim is stamped with; the public API passes one per Arena handle.
+	// Zero makes each proc its own holder (PID+1), the finest-grained
+	// recovery unit, and keeps per-name stamps.
+	Holder uint64
 }
 
 // enabled reports whether the lease layer is on.
 func (o *LeaseOpts) enabled() bool { return o != nil && o.Epochs != nil }
 
+// newStamps returns the stamp array over n names the holder rule selects:
+// word records for one holder, per-name stamps for a holder per proc.
+func (o *LeaseOpts) newStamps(label string, n int) *shm.Stamps {
+	if o.Holder == 0 {
+		return shm.NewStamps(label, n)
+	}
+	if o.Holder > shm.MaxHolder {
+		panic(fmt.Sprintf("longlived: holder %d outside [1, %d]", o.Holder, uint64(shm.MaxHolder)))
+	}
+	return shm.NewWordStamps(label, n, o.Epochs)
+}
+
 // holder resolves the proc's holder identity.
 func (o *LeaseOpts) holder(p *shm.Proc) uint64 {
-	if o.Holder != nil {
-		h := o.Holder(p)
-		if h < 1 || h > shm.MaxHolder {
-			panic(fmt.Sprintf("longlived: holder %d outside [1, %d]", h, uint64(shm.MaxHolder)))
-		}
-		return h
+	if o.Holder != 0 {
+		return o.Holder
 	}
 	return uint64(p.ID())%shm.MaxHolder + 1
 }
 
-// stamp builds the proc's current lease stamp.
+// stamp builds the proc's current lease stamp. Word records date each
+// lease CAS themselves, so one holder's stamp skips the clock read.
 func (o *LeaseOpts) stamp(p *shm.Proc) uint64 {
+	if o.Holder != 0 {
+		return shm.PackStamp(o.Holder, 0)
+	}
 	return shm.PackStamp(o.holder(p), o.Epochs.Now())
 }
 
@@ -87,24 +106,35 @@ type Recoverable interface {
 }
 
 // HeartbeatHolder renews every lease the holder currently owns across the
-// arena's domains to the given epoch, returning the number of renewed
-// leases. One step per renewed lease (a CAS on the stamp); names whose
-// lease was already reclaimed are skipped — the holder has lost them — and
-// so are stamp pages never written, which hold no lease at all.
+// arena's domains to the given epoch, returning the number of names whose
+// lease it renewed. One step per renewed stamp slot: per name on per-name
+// stamps, per leased bitmap word on word records, where only words whose
+// owned mask is nonempty are renewed (a lease covering no name protects
+// nothing). Slots whose lease was already reclaimed are skipped — the
+// holder has lost those names — and so are stamp pages never written,
+// which hold no lease at all.
 func HeartbeatHolder(a Recoverable, p *shm.Proc, holder, epoch uint64) int {
 	renewed := 0
 	for _, d := range a.LeaseDomains() {
-		n := d.Stamps.Size()
-		for lo := 0; lo < n; lo += 64 {
-			if !d.Stamps.Resident(lo) {
+		st := d.Stamps
+		n, page := st.Slots(), st.PageSlots()
+		for lo := 0; lo < n; lo += page {
+			if !st.Resident(lo) {
 				continue
 			}
-			for i := lo; i < min(lo+64, n); i++ {
-				if h, _ := shm.UnpackStamp(d.Stamps.Load(i)); h != holder {
+			for s := lo; s < min(lo+page, n); s++ {
+				if h, _ := shm.UnpackStamp(st.Load(s)); h != holder {
 					continue
 				}
-				if d.Stamps.Refresh(p, i, holder, epoch) {
-					renewed++
+				if !st.PerWord() {
+					if st.Refresh(p, s, holder, epoch) {
+						renewed++
+					}
+					continue
+				}
+				owned := st.Owned(s)
+				if owned != 0 && st.RefreshWord(p, s, holder, epoch) {
+					renewed += bits.OnesCount64(owned)
 				}
 			}
 		}

@@ -42,7 +42,8 @@ type LevelConfig struct {
 	Padded bool
 	// Lease enables the crash-recovery stamp layer (see LeaseOpts): every
 	// claim publishes a holder/epoch lease stamp and every release retires
-	// it, at one extra step per name each way, so a recovery sweep can
+	// it — one extra step per name each way with per-proc holders, two per
+	// claimed or released word with one holder — so a recovery sweep can
 	// reclaim names whose holder crashed. Nil (the default) costs nothing.
 	Lease *LeaseOpts
 	// Label prefixes the operation-space labels. Default "arena".
@@ -106,7 +107,7 @@ func NewLevel(capacity int, cfg LevelConfig) *LevelArena {
 	}
 	a.addLevel(mkSpace, capacity)
 	if cfg.Lease.enabled() {
-		a.stamps = shm.NewStamps(cfg.Label+":lease", a.bound)
+		a.stamps = cfg.Lease.newStamps(cfg.Label+":lease", a.bound)
 		for li, lvl := range a.levels {
 			lvl.AttachStamps(a.stamps, a.base[li])
 		}
@@ -142,7 +143,8 @@ func (a *LevelArena) Levels() int { return len(a.levels) }
 // ResidentBytes implements registry.Footprint: the storage allocated so
 // far — every level's saturation hints, the bitmap of each level a claim
 // has reached, and the lease-stamp pages written so far with their page
-// table. It grows toward the full ladder as holders reach deeper levels;
+// table (and, for word records, the table mapping words onto levels). It
+// grows toward the full ladder as holders reach deeper levels;
 // BENCH_6.json compares the elastic arena against a fixed one that has
 // claimed in every level.
 func (a *LevelArena) ResidentBytes() int64 {

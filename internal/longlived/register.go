@@ -2,24 +2,19 @@ package longlived
 
 import (
 	"shmrename/internal/registry"
-	"shmrename/internal/shm"
 )
 
 // Lease translates the registry's common lease fields into this package's
 // LeaseOpts: nil when the registry config leaves the lease layer off,
-// per-proc default holders unless the config pins a single identity.
+// per-proc default holders (per-name stamps) unless the config pins a
+// single identity (word records).
 // Backend register files (here, sharded, leasecache) share it so the
 // holder-resolution rule cannot diverge between backends.
 func Lease(cfg registry.Config) *LeaseOpts {
 	if cfg.Epochs == nil {
 		return nil
 	}
-	opts := &LeaseOpts{Epochs: cfg.Epochs}
-	if cfg.Holder != 0 {
-		h := cfg.Holder
-		opts.Holder = func(*shm.Proc) uint64 { return h }
-	}
-	return opts
+	return &LeaseOpts{Epochs: cfg.Epochs, Holder: cfg.Holder}
 }
 
 // The registered constructors build the canonical simulated-mode shapes —

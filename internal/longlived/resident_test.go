@@ -3,6 +3,7 @@ package longlived
 import (
 	"testing"
 
+	"shmrename/internal/prng"
 	"shmrename/internal/shm"
 )
 
@@ -79,5 +80,64 @@ func TestElasticResidentBytesFollowClaims(t *testing.T) {
 	}
 	if got := a.ResidentBytes(); got != hint {
 		t.Fatalf("after the retire: %d bytes, want level 0's hint word", got)
+	}
+}
+
+// TestHeartbeatOneStepPerLeasedWord pins the heartbeat's cost on word
+// records: one step per bitmap word the holder's lease covers, however
+// many names the word holds, and a count in names.
+func TestHeartbeatOneStepPerLeasedWord(t *testing.T) {
+	const holder = 5
+	ep := shm.NewCounterEpochs(1)
+	a := NewLevel(4096, LevelConfig{WordScan: true, Lease: &LeaseOpts{Epochs: ep, Holder: holder}})
+	p := shm.NewProc(0, prng.NewStream(1, 0), nil, 0)
+	names := a.AcquireBlock(p, 300, nil)
+	if len(names) != 300 {
+		t.Fatalf("acquired %d of 300 names", len(names))
+	}
+	// Empty one word entirely: its lease stays, but covers no name.
+	a.ReleaseN(p, names[:64])
+	st := a.LeaseDomains()[0].Stamps
+	leased := 0
+	for w := range st.Slots() {
+		if h, _ := shm.UnpackStamp(st.Load(w)); h == holder {
+			leased++
+		}
+	}
+	ep.Advance(3)
+	before := p.Steps()
+	renewed := HeartbeatHolder(a, p, holder, ep.Now())
+	if steps := int(p.Steps() - before); steps > leased || steps != (300-64+63)/64 {
+		t.Fatalf("heartbeat took %d steps over %d leased words, want one per word holding names", steps, leased)
+	}
+	if renewed != 300-64 {
+		t.Fatalf("heartbeat renewed %d names, want %d", renewed, 300-64)
+	}
+}
+
+// domainsOnly is a Recoverable that serves only its lease domains.
+type domainsOnly struct {
+	Arena
+	domains []LeaseDomain
+}
+
+func (d domainsOnly) LeaseDomains() []LeaseDomain { return d.domains }
+
+// TestHeartbeatReachesLaterRecordPages: a holder whose only names lie past
+// the first page of word records (32 words) is still renewed, though the
+// first page was never written.
+func TestHeartbeatReachesLaterRecordPages(t *testing.T) {
+	const holder = 5
+	ep := shm.NewCounterEpochs(1)
+	ns := shm.NewNameSpace("hb-pages:L0", 64*40)
+	st := shm.NewWordStamps("hb-pages:lease", 64*40, ep)
+	ns.AttachStamps(st, 0)
+	p := shm.NewProc(0, prng.NewStream(1, 0), nil, 0)
+	if n := ns.ClaimFirstFreeStamped(p, 35, shm.PackStamp(holder, 0)); n != 35*64 {
+		t.Fatalf("claimed %d, want %d", n, 35*64)
+	}
+	a := domainsOnly{domains: []LeaseDomain{{Stamps: st, IsHeld: ns.Probe}}}
+	if got := HeartbeatHolder(a, p, holder, ep.Advance(1)); got != 1 {
+		t.Fatalf("heartbeat renewed %d names, want 1", got)
 	}
 }

@@ -122,7 +122,7 @@ func NewTau(capacity int, cfg TauConfig) *TauArena {
 			width, tau, cfg.SelfClocked)
 	}
 	if cfg.Lease.enabled() {
-		a.stamps = shm.NewStamps(cfg.Label+":lease", a.names.Size())
+		a.stamps = cfg.Lease.newStamps(cfg.Label+":lease", a.names.Size())
 		a.names.AttachStamps(a.stamps, 0)
 	}
 	return a

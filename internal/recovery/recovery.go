@@ -59,9 +59,29 @@
 // number of concurrent sweepers — plus the background reaper and crashing
 // holders — reach a consistent outcome: at most one party wins each
 // transition.
+//
+// # Word records
+//
+// On a word-record array (one holder per arena, shm.NewWordStamps) the
+// sweep acts per 64-name word, on the word's lease, owned mask and bitmap
+// word, each read one step:
+//
+//   - a stale holder lease, a stale orphan, or a stale suspect mark is
+//     reclaimed two-phase as above, but the reclaim takes the owned mask
+//     and clears exactly those bits. A set bit nobody owns may be a claim
+//     whose lease CAS has not landed yet; clearing it would let that claim
+//     complete over the tombstone and own a free name;
+//   - set bits under a claimable lease (zero or tombstone) are adopted:
+//     the lease becomes an orphan and the bits join the owned mask, so a
+//     claimant still in flight keeps its bit by taking the orphan lease,
+//     and the rest are reclaimed once the orphan goes stale;
+//   - a stale tombstone over an empty word is dropped.
+//
+// Result counts stay in names: a reclaimed word counts its owned names.
 package recovery
 
 import (
+	"math/bits"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -88,7 +108,7 @@ type Config struct {
 
 // Result reports what one sweep pass did.
 type Result struct {
-	// Scanned is the number of stamp slots examined.
+	// Scanned is the number of names whose stamps were examined.
 	Scanned int
 	// Adopted counts names whose set claim bit had no stamp (crashed
 	// pre-publish or mid-release) and were marked orphaned this pass.
@@ -151,6 +171,14 @@ func (s *Sweeper) Sweep(p *shm.Proc) Result {
 	now := s.cfg.Epochs.Now()
 	var res Result
 	for _, d := range s.arena.LeaseDomains() {
+		if d.Stamps.PerWord() {
+			for w := 0; w < d.Stamps.Slots(); w++ {
+				lo, hi := d.Stamps.WordNames(w)
+				res.Scanned += hi - lo
+				s.sweepWord(p, d, w, now, &res)
+			}
+			continue
+		}
 		for i := 0; i < d.Stamps.Size(); i++ {
 			res.Scanned++
 			s.sweepOne(p, d, i, now, &res)
@@ -244,6 +272,61 @@ func (s *Sweeper) reclaim(p *shm.Proc, d longlived.LeaseDomain, i int, obs, now 
 	d.Reclaim(p, i)
 	d.Stamps.FinishReclaim(i, now, now)
 	return true
+}
+
+// sweepWord acts on word record w of a word-record domain (see the
+// package comment's "Word records").
+func (s *Sweeper) sweepWord(p *shm.Proc, d longlived.LeaseDomain, w int, now uint64, res *Result) {
+	st := d.Stamps
+	obs := st.LeaseWord(p, w)
+	h, e := shm.UnpackStamp(obs)
+	switch {
+	case h == shm.HolderQuarantine:
+		return
+	case obs == 0 || h == shm.HolderTomb:
+		if held := st.BitsWord(p, w); held != 0 {
+			if st.AdoptWord(p, w, obs, now) {
+				res.Adopted += bits.OnesCount64(held)
+			}
+		} else if h == shm.HolderTomb && shm.StampStale(now, e, s.cfg.TTL) && st.DropWord(p, w, obs) {
+			res.Dropped++
+		}
+	case !shm.StampStale(now, e, s.cfg.TTL):
+		return
+	case h == shm.HolderSuspect:
+		if n, ok := s.reclaimWord(p, d, w, obs, now); ok {
+			res.Resumed += n
+		}
+	case h == shm.HolderOrphan:
+		if n, ok := s.reclaimWord(p, d, w, obs, now); ok {
+			res.Reclaimed += n
+		}
+	default: // client holder
+		if s.cfg.Alive != nil && s.cfg.Alive(h) {
+			return
+		}
+		if n, ok := s.reclaimWord(p, d, w, obs, now); ok {
+			res.Reclaimed += n
+		}
+	}
+}
+
+// reclaimWord runs the two-phase reclaim of word w whose lease was
+// observed as obs: suspect mark, take the owned mask, clear exactly those
+// names through the domain's Reclaim, tombstone. It returns the number of
+// names cleared; false means the CAS on the observed lease lost and
+// nothing was touched.
+func (s *Sweeper) reclaimWord(p *shm.Proc, d longlived.LeaseDomain, w int, obs, now uint64) (int, bool) {
+	st := d.Stamps
+	if !st.BeginReclaimWord(p, w, obs, now) {
+		return 0, false
+	}
+	owned := st.TakeOwned(p, w)
+	for rest := owned; rest != 0; rest &= rest - 1 {
+		d.Reclaim(p, w<<6+bits.TrailingZeros64(rest))
+	}
+	st.FinishReclaimWord(p, w, now, now)
+	return bits.OnesCount64(owned), true
 }
 
 // Reaper starts a background goroutine sweeping every interval with the

@@ -112,7 +112,7 @@ func TestSweepAdoptsOrphanOnAbsentPage(t *testing.T) {
 // of its original stamps.
 func TestSweepSparesLiveHolder(t *testing.T) {
 	ep := shm.NewCounterEpochs(1)
-	lease := &longlived.LeaseOpts{Epochs: ep, Holder: func(*shm.Proc) uint64 { return 7 }}
+	lease := &longlived.LeaseOpts{Epochs: ep, Holder: 7}
 	a := longlived.NewLevel(64, longlived.LevelConfig{Lease: lease, MaxPasses: 4})
 	p := shm.NewProc(1, prng.NewStream(1, 1), nil, 0)
 	names := acquireAll(t, a, p, 8)
@@ -135,7 +135,7 @@ func TestSweepSparesLiveHolder(t *testing.T) {
 // reports alive is spared; once the oracle flips, the names are reclaimed.
 func TestSweepAliveOracle(t *testing.T) {
 	ep := shm.NewCounterEpochs(1)
-	lease := &longlived.LeaseOpts{Epochs: ep, Holder: func(*shm.Proc) uint64 { return 9 }}
+	lease := &longlived.LeaseOpts{Epochs: ep, Holder: 9}
 	a := longlived.NewLevel(64, longlived.LevelConfig{Lease: lease, MaxPasses: 4})
 	p := shm.NewProc(1, prng.NewStream(1, 1), nil, 0)
 	acquireAll(t, a, p, 4)

@@ -36,10 +36,16 @@ func lawSelfHealing(t *testing.T, b registry.Backend) {
 		t.Fatal("backend registered SelfHealing but its lease domain has no Seize hook")
 	}
 	const victim = 0
-	if d.IsHeld(victim) || d.Stamps.Load(victim) != 0 {
+	if d.IsHeld(victim) || d.Stamps.Load(victim) != 0 || d.Stamps.Owned(victim) != 0 {
 		t.Fatalf("fresh arena: name %d is not free", d.Base+victim)
 	}
-	d.Stamps.Inject(victim, shm.PackStamp(4242, ep.Now()))
+	if d.Stamps.PerWord() {
+		// Word records share a word's lease: the same damage is an owned
+		// bit over the clear claim bit.
+		d.Stamps.InjectOwned(victim>>6, 1<<(victim&63))
+	} else {
+		d.Stamps.Inject(victim, shm.PackStamp(4242, ep.Now()))
+	}
 
 	cfg := integrity.Config{Epochs: ep, TTL: 4, Quarantine: true}
 	if c, ok := a.(interface {

@@ -207,10 +207,12 @@ type Config struct {
 	Epochs shm.EpochSource
 	// Holder, when non-zero, stamps every claim with this single holder
 	// identity instead of the backend default (per-proc identities for
-	// in-process backends, the process ID for external ones). Cached
-	// backends pin one holder for the whole handle when it is 0: a name
-	// parked by one proc's slot may be released by another proc, which a
-	// per-proc stamp would refuse.
+	// in-process backends, the process ID for external ones). In-process
+	// backends then keep one lease record per 64-name bitmap word instead
+	// of a stamp per name (shm.NewWordStamps); external ones keep their
+	// per-name file format. Cached backends pin one holder for the whole
+	// handle when it is 0: a name parked by one proc's slot may be
+	// released by another proc, which a per-proc stamp would refuse.
 	Holder uint64
 	// Alive overrides the liveness oracle of external backends' on-open
 	// recovery sweeps; in-process backends ignore it (their sweeps are

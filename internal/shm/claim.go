@@ -313,15 +313,20 @@ func (s *NameSpace) FreeMask(p *Proc, w int, mask uint64) {
 // Stamped claim variants: the crash-recoverable forms of the word ops.
 // Each wins bits exactly as its unstamped counterpart — the one-CAS fast
 // path on the bitmap word is untouched — and then publishes the winner's
-// lease stamp on every won name (one extra step per name, on the stamp
-// space; see lease.go for the protocol). A publish that loses to a racing
-// reclaim walks away from that bit without touching it: the bit now belongs
-// to the reclaim path or a successor, never to this claimant.
+// lease on the won names: one extra step per name on a per-name stamp
+// array (lease.go), or two per claimed word on a word-record array, the
+// lease CAS and the owned OR (wordlease.go). A publish that loses to a
+// racing reclaim walks away from its bits without touching them: they now
+// belong to the reclaim path or a successor, never to this claimant. On a
+// word-record array a refused publish refuses the whole word, so the
+// claim stops there and hints the word saturated instead of claiming its
+// next bit.
 
 // ClaimFirstFreeStamped claims the lowest free name of bitmap word w and
 // publishes stamp on it. Names whose publish is lost to a racing reclaim
-// are skipped (the loop claims the word's next free bit). It returns the
-// claimed-and-published name, or -1 if the word ran out of free bits.
+// are skipped (the loop claims the word's next free bit; a word-record
+// array gives up on the word). It returns the claimed-and-published name,
+// or -1 if the word ran out of free bits.
 func (s *NameSpace) ClaimFirstFreeStamped(p *Proc, w int, stamp uint64) int {
 	for {
 		n := s.ClaimFirstFree(p, w)
@@ -330,6 +335,9 @@ func (s *NameSpace) ClaimFirstFreeStamped(p *Proc, w int, stamp uint64) int {
 		}
 		if s.publish(p, n, stamp) {
 			return n
+		}
+		if s.stamps.perWord {
+			return -1
 		}
 	}
 }
@@ -352,6 +360,20 @@ func (s *NameSpace) ClaimMaskStamped(p *Proc, w int, mask, stamp uint64) uint64 
 // publishMask publishes stamp on every name of a won word mask, returning
 // the subset that was actually granted.
 func (s *NameSpace) publishMask(p *Proc, w int, won, stamp uint64) uint64 {
+	if s.stamps.perWord {
+		if won == 0 {
+			return 0
+		}
+		for rest := won; rest != 0; rest &= rest - 1 {
+			s.stamps.maybeCrash(p, CrashPrePublish, s.stampBase+w<<6+bits.TrailingZeros64(rest))
+		}
+		holder, _ := UnpackStamp(stamp)
+		if s.stamps.publishWord(p, s.stampBase>>6+w, won, holder) {
+			return won
+		}
+		s.sat.Set(w)
+		return 0
+	}
 	granted := won
 	for rest := won; rest != 0; rest &= rest - 1 {
 		b := bits.TrailingZeros64(rest)
@@ -368,6 +390,16 @@ func (s *NameSpace) publishMask(p *Proc, w int, won, stamp uint64) uint64 {
 // be re-granted). It returns the mask of bits actually freed. Cost: one
 // stamp-clear step per name plus one word-clear step.
 func (s *NameSpace) FreeMaskStamped(p *Proc, w int, mask uint64, holder uint64) uint64 {
+	if s.stamps.perWord {
+		if !s.stamps.retireWord(p, s.stampBase>>6+w, mask, holder) {
+			return 0
+		}
+		for rest := mask; rest != 0; rest &= rest - 1 {
+			s.stamps.maybeCrash(p, CrashMidRelease, s.stampBase+w<<6+bits.TrailingZeros64(rest))
+		}
+		s.FreeMask(p, w, mask)
+		return mask
+	}
 	kept := mask
 	for rest := mask; rest != 0; rest &= rest - 1 {
 		b := bits.TrailingZeros64(rest)
@@ -387,6 +419,9 @@ func (s *NameSpace) FreeMaskStamped(p *Proc, w int, mask uint64, holder uint64) 
 // consulting the fault-injection hook in the bit-won/stamp-unpublished
 // window first (harness experiment E18's post-claim crash point).
 func (s *NameSpace) publish(p *Proc, n int, stamp uint64) bool {
+	if s.stamps.perWord {
+		return s.publishMask(p, n>>6, 1<<(uint(n)&63), stamp) != 0
+	}
 	s.stamps.maybeCrash(p, CrashPrePublish, s.stampBase+n)
 	return s.stamps.Publish(p, s.stampBase+n, stamp)
 }
@@ -401,6 +436,9 @@ func (s *NameSpace) TryClaimStamped(p *Proc, i int, stamp uint64) bool {
 // FreeStamped retires holder's lease on name i and frees the bit only if
 // the lease was still the holder's, reporting whether it freed anything.
 func (s *NameSpace) FreeStamped(p *Proc, i int, holder uint64) bool {
+	if s.stamps.perWord {
+		return s.FreeMaskStamped(p, i>>6, 1<<(uint(i)&63), holder) != 0
+	}
 	if !s.stamps.ClearOwned(p, s.stampBase+i, holder) {
 		return false
 	}
@@ -410,8 +448,8 @@ func (s *NameSpace) FreeStamped(p *Proc, i int, holder uint64) bool {
 }
 
 // ClaimFirstFreeRangeStamped claims-and-publishes the lowest free name in
-// [lo, hi), retrying past publish-lost bits, or returns -1 when the range
-// ran out of free words.
+// [lo, hi), retrying past publish-lost bits (past a refused word, on a
+// word-record array), or returns -1 when the range ran out of free words.
 func (s *NameSpace) ClaimFirstFreeRangeStamped(p *Proc, lo, hi int, stamp uint64) int {
 	for {
 		n := s.ClaimFirstFreeRange(p, lo, hi)
@@ -420,6 +458,11 @@ func (s *NameSpace) ClaimFirstFreeRangeStamped(p *Proc, lo, hi int, stamp uint64
 		}
 		if s.publish(p, n, stamp) {
 			return n
+		}
+		if s.stamps.perWord {
+			if lo = (n>>6 + 1) << 6; lo >= hi {
+				return -1
+			}
 		}
 	}
 }

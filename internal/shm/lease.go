@@ -49,9 +49,15 @@ package shm
 // stamped-claim cost delta is visible in the steps/acquire metric (PERF.md).
 // Reaper-side transitions (Adopt, BeginReclaim, FinishReclaim, Drop) and
 // Load are out-of-band maintenance, like the adversary's Probe: no steps.
+//
+// All of the above is the per-name layout, kept where a word's names may
+// have different holders (per-proc holders, the mmap namespace). An arena
+// whose claims all carry one holder keeps one record per bitmap word
+// instead, and every access to it is a step (wordlease.go).
 
 import (
 	"fmt"
+	"math/bits"
 	"sync/atomic"
 	"time"
 )
@@ -194,19 +200,33 @@ type LeaseCrash struct {
 	Point CrashPoint
 }
 
-// Stamps is a per-name lease-stamp array: one atomic.Uint64 per name,
-// holding the packed (holder, epoch) lease of the name's current owner, or
-// one of the recovery states documented above. It lives alongside a
-// NameSpace's claim bitmap (NameSpace.AttachStamps) and may be backed by
+// Stamps is a lease-stamp array over n names in one of two layouts. The
+// per-name layout (NewStamps, NewStampsBacked) keeps one atomic.Uint64 per
+// name, holding the packed (holder, epoch) lease of the name's current
+// owner or one of the recovery states documented above. The word layout
+// (NewWordStamps, wordlease.go) keeps one 16-byte record per 64-name
+// bitmap word instead: a lease word in the same encoding plus an owned
+// mask. Either lives alongside a NameSpace's claim bitmap
+// (NameSpace.AttachStamps); only the per-name layout may be backed by
 // externally owned storage (NewStampsBacked) for mmap persistence.
+//
+// A stamp slot is the unit one stamp word covers: a name in the per-name
+// layout, a bitmap word in the word layout (Slots, Load, Inject).
 type Stamps struct {
 	label string
 	id    SpaceID
 	size  int
-	// pages holds one pointer per 64-name page, nil until the page's first
-	// write installs it (see slot).
+	// perWord selects the word layout; epochs dates its lease renewals and
+	// spans maps its words onto the bitmaps they mirror (wordlease.go).
+	perWord bool
+	epochs  EpochSource
+	spans   []stampSpan
+	// pages holds one pointer per page of 64 stamp cells, nil until the
+	// page's first write installs it (see slot). A cell is a name's stamp
+	// in the per-name layout, and a word's lease (cell 2w) or owned mask
+	// (cell 2w+1) in the word layout.
 	pages []atomic.Pointer[[]atomic.Uint64]
-	// installed counts the stamp words of installed pages.
+	// installed counts the cells of installed pages.
 	installed atomic.Int64
 	// hook, when set, is the fault-injection callback consulted at the
 	// instrumented crash points; returning true unwinds the worker with a
@@ -250,27 +270,52 @@ func NewStampsBacked(label string, n int, words []atomic.Uint64) *Stamps {
 	return st
 }
 
-// page returns the stamp words of name i's page, or nil while it is absent.
-func (st *Stamps) page(i int) []atomic.Uint64 {
-	if pg := st.pages[i>>6].Load(); pg != nil {
+// cells returns the number of stamp cells: one per name, or two per word.
+func (st *Stamps) cells() int {
+	if st.perWord {
+		return 2 * st.Slots()
+	}
+	return st.size
+}
+
+// cell returns the cell of slot s's stamp word: the name's stamp, or the
+// word's lease.
+func (st *Stamps) cell(s int) int {
+	if st.perWord {
+		return 2 * s
+	}
+	return s
+}
+
+// page returns the cells of cell c's page, or nil while it is absent.
+func (st *Stamps) page(c int) []atomic.Uint64 {
+	if pg := st.pages[c>>6].Load(); pg != nil {
 		return *pg
 	}
 	return nil
 }
 
-// slot returns name i's stamp word, installing its page on first write.
-func (st *Stamps) slot(i int) *atomic.Uint64 {
-	if pg := st.page(i); pg != nil {
-		return &pg[i&63]
+// at returns cell c, or nil while its page is absent (it then reads zero).
+func (st *Stamps) at(c int) *atomic.Uint64 {
+	if pg := st.page(c); pg != nil {
+		return &pg[c&63]
 	}
-	return &st.install(i >> 6)[i&63]
+	return nil
+}
+
+// slot returns cell c, installing its page on first write.
+func (st *Stamps) slot(c int) *atomic.Uint64 {
+	if pg := st.page(c); pg != nil {
+		return &pg[c&63]
+	}
+	return &st.install(c >> 6)[c&63]
 }
 
 // install allocates page k and publishes it with one CAS. Writers racing
 // here each allocate, but one CAS wins and the losers write into its page,
 // so no stamp lands in a discarded page.
 func (st *Stamps) install(k int) []atomic.Uint64 {
-	fresh := make([]atomic.Uint64, min(64, st.size-k<<6))
+	fresh := make([]atomic.Uint64, min(64, st.cells()-k<<6))
 	if st.pages[k].CompareAndSwap(nil, &fresh) {
 		st.installed.Add(int64(len(fresh)))
 		return fresh
@@ -278,26 +323,36 @@ func (st *Stamps) install(k int) []atomic.Uint64 {
 	return *st.pages[k].Load()
 }
 
-// cas swaps name i's stamp from old to next. An absent page holds zero
-// stamps, so only a swap from zero installs it; a swap expecting any other
-// value fails there without allocating.
-func (st *Stamps) cas(i int, old, next uint64) bool {
+// cas swaps cell c from old to next. An absent page holds zero cells, so
+// only a swap from zero installs it; a swap expecting any other value fails
+// there without allocating.
+func (st *Stamps) cas(c int, old, next uint64) bool {
 	if old == 0 {
-		return st.slot(i).CompareAndSwap(0, next)
+		return st.slot(c).CompareAndSwap(0, next)
 	}
-	pg := st.page(i)
-	return pg != nil && pg[i&63].CompareAndSwap(old, next)
+	w := st.at(c)
+	return w != nil && w.CompareAndSwap(old, next)
 }
 
-// Resident reports whether the page holding name i has been written. A
-// page that has not holds only zero stamps, hence no lease: heartbeats skip
-// it whole. No process step.
-func (st *Stamps) Resident(i int) bool { return st.pages[i>>6].Load() != nil }
+// Resident reports whether the page holding slot s's stamp has been
+// written. A page that has not holds only zero stamps, hence no lease:
+// heartbeats skip it whole. No process step.
+func (st *Stamps) Resident(s int) bool { return st.pages[st.cell(s)>>6].Load() != nil }
+
+// PageSlots returns how many stamp slots one page holds, aligned from
+// slot 0: 64 names, or 32 words of word records.
+func (st *Stamps) PageSlots() int {
+	if st.perWord {
+		return 32
+	}
+	return 64
+}
 
 // ResidentBytes returns the stamp storage allocated so far: the page table
-// plus the words of every installed page.
+// plus the cells of every installed page, and in the word layout the table
+// mapping words onto bitmaps.
 func (st *Stamps) ResidentBytes() int64 {
-	return 8 * (int64(len(st.pages)) + st.installed.Load())
+	return 8*(int64(len(st.pages))+st.installed.Load()) + int64(len(st.spans))*stampSpanBytes
 }
 
 // Label returns the stamp space's label.
@@ -306,14 +361,30 @@ func (st *Stamps) Label() string { return st.label }
 // Size returns the number of stamped names.
 func (st *Stamps) Size() int { return st.size }
 
-// Load reads the stamp of name i without spending a process step
-// (diagnostics and recovery sweeps).
-func (st *Stamps) Load(i int) uint64 {
-	if pg := st.page(i); pg != nil {
-		return pg[i&63].Load()
+// Slots returns the number of stamp slots: Size() names in the per-name
+// layout, ⌈Size()/64⌉ bitmap words in the word layout.
+func (st *Stamps) Slots() int {
+	if st.perWord {
+		return (st.size + 63) / 64
+	}
+	return st.size
+}
+
+// PerWord reports whether the array keeps word records (NewWordStamps)
+// rather than per-name stamps.
+func (st *Stamps) PerWord() bool { return st.perWord }
+
+// Load reads the stamp of slot s without spending a process step
+// (diagnostics and recovery sweeps): a name's stamp, or a word's lease.
+func (st *Stamps) Load(s int) uint64 {
+	if w := st.at(st.cell(s)); w != nil {
+		return w.Load()
 	}
 	return 0
 }
+
+// Publish, Refresh and ClearOwned are the holder's per-name transitions;
+// the word layout has its own (publishWord, retireWord, RefreshWord).
 
 // Publish installs a holder's lease on name i right after the holder won
 // the claim bit: one step, a CAS from whatever claimable state the slot is
@@ -340,11 +411,10 @@ func (st *Stamps) Publish(p *Proc, i int, stamp uint64) bool {
 // longer holds the name.
 func (st *Stamps) Refresh(p *Proc, i int, holder, epoch uint64) bool {
 	p.Step(Op{Kind: OpTAS, Space: st.id, Index: int32(i)})
-	pg := st.page(i)
-	if pg == nil {
+	w := st.at(i)
+	if w == nil {
 		return false // an absent page holds no lease
 	}
-	w := &pg[i&63]
 	for {
 		cur := w.Load()
 		if h, _ := UnpackStamp(cur); h != holder {
@@ -363,11 +433,10 @@ func (st *Stamps) Refresh(p *Proc, i int, holder, epoch uint64) bool {
 // clear the claim bit (it may already be re-granted).
 func (st *Stamps) ClearOwned(p *Proc, i int, holder uint64) bool {
 	p.Step(Op{Kind: OpClear, Space: st.id, Index: int32(i)})
-	pg := st.page(i)
-	if pg == nil {
+	w := st.at(i)
+	if w == nil {
 		return false // an absent page holds no lease
 	}
-	w := &pg[i&63]
 	for {
 		cur := w.Load()
 		if h, _ := UnpackStamp(cur); h != holder {
@@ -378,6 +447,10 @@ func (st *Stamps) ClearOwned(p *Proc, i int, holder uint64) bool {
 		}
 	}
 }
+
+// Adopt, BeginReclaim, FinishReclaim, Drop and Quarantine are the
+// reaper's per-name transitions; word records have stepped forms
+// (AdoptWord and the rest, wordlease.go).
 
 // Adopt installs a provisional orphan lease on name i, whose claim bit a
 // sweep observed set under a zero stamp. The CAS from zero loses to the
@@ -421,24 +494,28 @@ func (st *Stamps) Quarantine(i int, observed, epoch uint64) bool {
 	return st.cas(i, observed, PackStamp(HolderQuarantine, epoch))
 }
 
-// Inject stores an arbitrary raw stamp value, bypassing every protocol
-// transition. It exists solely for fault injection — the chaos harness and
-// the integrity conformance law plant corrupt states with it — and, like
-// SetCrashHook, appears on no real path.
-func (st *Stamps) Inject(i int, v uint64) {
-	st.slot(i).Store(v)
+// Inject stores an arbitrary raw stamp value in slot s (a name's stamp, or
+// a word's lease), bypassing every protocol transition. It exists solely
+// for fault injection — the chaos harness and the integrity conformance
+// law plant corrupt states with it — and, like SetCrashHook, appears on no
+// real path.
+func (st *Stamps) Inject(s int, v uint64) {
+	st.slot(st.cell(s)).Store(v)
 }
 
 // CountHolder returns the number of names currently stamped by client
-// holder (diagnostics; no process step). Absent pages hold none.
+// holder (diagnostics; no process step): in the word layout, the owned
+// names of the words the holder leases. Absent pages hold none.
 func (st *Stamps) CountHolder(holder uint64) int {
 	c := 0
-	for i := 0; i < st.size; i += 64 {
-		pg := st.page(i)
-		for j := range pg {
-			if h, _ := UnpackStamp(pg[j].Load()); h == holder {
-				c++
-			}
+	for s := 0; s < st.Slots(); s++ {
+		if h, _ := UnpackStamp(st.Load(s)); h != holder {
+			continue
+		}
+		if st.perWord {
+			c += bits.OnesCount64(st.Owned(s))
+		} else {
+			c++
 		}
 	}
 	return c
@@ -458,11 +535,11 @@ func (st *Stamps) maybeCrash(p *Proc, point CrashPoint, name int) {
 	}
 }
 
-// Reset clears every stamp, keeping installed pages. Only safe when no
-// processes are running.
+// Reset clears every stamp (and owned mask), keeping installed pages.
+// Only safe when no processes are running.
 func (st *Stamps) Reset() {
-	for i := 0; i < st.size; i += 64 {
-		pg := st.page(i)
+	for c := 0; c < st.cells(); c += 64 {
+		pg := st.page(c)
 		for j := range pg {
 			pg[j].Store(0)
 		}

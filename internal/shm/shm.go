@@ -300,10 +300,11 @@ type NameSpace struct {
 	// releases).
 	// It is a probe-redirection hint, never a correctness input; see claim.go.
 	sat *HintBits
-	// stamps, when attached, is the per-name lease-stamp array of the
-	// crash-recovery layer; stampBase offsets this space's local names into
-	// it (arenas share one stamp array across several spaces). See lease.go
-	// and the Stamped claim variants in claim.go.
+	// stamps, when attached, is the lease-stamp array of the
+	// crash-recovery layer, per name or per word; stampBase offsets this
+	// space's local names into it (arenas share one stamp array across
+	// several spaces). See lease.go, wordlease.go and the Stamped claim
+	// variants in claim.go.
 	stamps    *Stamps
 	stampBase int
 }
@@ -358,10 +359,15 @@ func NewNameSpaceBacked(label string, m int, words []atomic.Uint64) *NameSpace {
 
 // AttachStamps wires the crash-recovery lease-stamp array to this space:
 // the space's local name i stamps at st[base+i]. Required before any
-// Stamped claim variant; a nil st detaches.
+// Stamped claim variant; a nil st detaches. A word-layout array needs a
+// word-aligned base, and learns which of its words this space's bitmap
+// words are.
 func (s *NameSpace) AttachStamps(st *Stamps, base int) {
 	if st != nil && base+s.size > st.Size() {
 		panic(fmt.Sprintf("shm: stamp array of %d cannot cover names [%d, %d)", st.Size(), base, base+s.size))
+	}
+	if st != nil && st.perWord {
+		st.bind(s, base)
 	}
 	s.stamps = st
 	s.stampBase = base
