@@ -127,7 +127,8 @@ type ArenaConfig struct {
 	// refills and spills, so padding its words would only cost memory.
 	// Released names recirculate through the releasing worker's cache, so
 	// steady-state churn stops touching the backend entirely — the regime
-	// BENCH_5.json records. The trade-off is name tightness: cached names
+	// BenchmarkArenaChurn's sharded2+lease64 cell measures against sharded2
+	// at equal capacity. The trade-off is name tightness: cached names
 	// are claimed but serve nobody, so provision Capacity above the
 	// expected peak holders plus 2×LeaseBlocks per active worker (see
 	// PERF.md).
@@ -435,8 +436,8 @@ func (s *striped) total() int64 {
 // ArenaStats is a snapshot of an arena's cumulative operation counters.
 // Steps are shared-memory accesses in the sense of the paper's cost model,
 // so AcquireSteps/Acquires is the machine-independent structural cost of
-// finding a free slot — the metric the BENCH_2/BENCH_3/BENCH_4 regression
-// gates track.
+// finding a free slot — the metric the simulated churn goldens pin and the
+// native Benchmark* functions report.
 type ArenaStats struct {
 	// Acquires counts successfully acquired names (batch acquires count
 	// every name of the batch).
@@ -485,7 +486,8 @@ type ArenaStats struct {
 	// arenas, fixed and elastic, and OpenArena's mapped namespace).
 	// Bitmaps and stamp pages become resident on first claim, so it
 	// follows the levels holders have reached — the memory-proportionality
-	// proxy BENCH_6.json records. 0 for backends without a footprint report.
+	// proxy the hold-time benchmark gates per holder. 0 for backends
+	// without a footprint report.
 	ResidentBytes int64
 	// ScrubPasses counts completed integrity scrub passes (Scrub calls and
 	// background ticks). Always 0 with Integrity off.

@@ -391,8 +391,8 @@ func BenchmarkE13Adaptive(b *testing.B) {
 // BenchmarkChurnSim measures the canonical E15 churn workload (k = n/4
 // workers cycling names on a capacity-n arena, longlived.DefaultChurn) on
 // the deterministic simulator and reports the mean shared-memory steps per
-// successful acquire. The BENCH_2.json trajectory records the same
-// workload; see cmd/renamebench -bench2.
+// successful acquire. TestChurnRegistryGolden (internal/longlived) pins
+// the same workload's step counts per seed.
 func BenchmarkChurnSim(b *testing.B) {
 	for _, name := range []string{"level-array", "tau-longlived"} {
 		backend, ok := registry.Lookup(name)
@@ -505,7 +505,8 @@ func BenchmarkShardedNative(b *testing.B) {
 // (capacity = workers, full occupancy): the regime where the probe path
 // pays random-probe misses plus a per-name backstop scan and the word path
 // pays one snapshot-scan-CAS per word. steps/acquire carries the
-// machine-independent reduction that BENCH_4.json records.
+// machine-independent reduction, which TestChurnMultiWordGolden
+// (internal/longlived) pins in the simulator.
 func BenchmarkWordEngineNative(b *testing.B) {
 	const workers = 64
 	churn := longlived.ChurnConfig{Cycles: 50, Yield: true}

@@ -25,32 +25,14 @@ import (
 
 func main() {
 	var (
-		list    = flag.Bool("list", false, "list experiments and exit")
-		exp     = flag.String("exp", "all", "comma-separated experiment ids, or 'all'")
-		trials  = flag.Int("trials", harness.DefaultTrials, "seeded trials per parameter point")
-		seed    = flag.Uint64("seed", 1, "base seed")
-		full    = flag.Bool("full", false, "full report-scale sweeps")
-		csvDir  = flag.String("csv", "", "also write each table as CSV into this directory")
-		bench1  = flag.String("bench1", "", "write the BENCH_1.json perf trajectory to this path and exit")
-		bench1N = flag.Int("bench1-maxexp", 20, "largest log2(n) for -bench1 sweeps")
-		bench1A = flag.String("bench1-against", "", "baseline BENCH_1.json to compare -bench1 results against; exits nonzero on steps/proc-max regression")
-		bench2  = flag.String("bench2", "", "write the BENCH_2.json churn trajectory to this path and exit")
-		bench2N = flag.Int("bench2-maxexp", 14, "largest log2(n) for -bench2 sweeps")
-		bench2A = flag.String("bench2-against", "", "baseline BENCH_2.json to compare -bench2 results against; exits nonzero on steps/acquire regression")
-		bench3  = flag.String("bench3", "", "write the BENCH_3.json native sharded-scalability sweep to this path and exit")
-		bench3G = flag.Int("bench3-maxg", 64, "largest goroutine count for -bench3 sweeps (x4 from 4)")
-		bench3A = flag.String("bench3-against", "", "baseline BENCH_3.json to compare -bench3 results against; exits nonzero on steps/acquire regression")
-		bench4  = flag.String("bench4", "", "write the BENCH_4.json word-engine trajectory to this path and exit")
-		bench4G = flag.Int("bench4-maxg", 64, "largest goroutine count for the -bench4 native sweep (x4 from 4)")
-		bench5  = flag.String("bench5", "", "write the BENCH_5.json open-loop latency trajectory to this path and exit")
-		bench5R = flag.Float64("bench5-rate", 200e3, "offered arrival rate (per second) for the -bench5 fixed-rate cells")
-		bench5N = flag.Int("bench5-arrivals", 20000, "scheduled arrivals per -bench5 cell")
-		bench5A = flag.String("bench5-against", "", "baseline BENCH_5.json to compare -bench5 results against; exits nonzero on p99 regression")
-		bench6  = flag.String("bench6", "", "write the BENCH_6.json elastic diurnal trajectory to this path and exit")
-		bench6C = flag.Int("bench6-cap", 4096, "arena capacity for the -bench6 diurnal sweep (power of two >= 1024)")
-		bench6A = flag.String("bench6-against", "", "baseline BENCH_6.json to compare -bench6 results against; exits nonzero on steps/acquire or storm-p99 regression")
-		recov   = flag.Bool("recovery-smoke", false, "run the native crash-recovery smoke (abandoned-lease reclaim on every backend + mmap reattach) and exit")
-		chaosO  = flag.String("chaos", "", "run the E21 chaos matrix and write the accounting JSON to this path")
+		list   = flag.Bool("list", false, "list experiments and exit")
+		exp    = flag.String("exp", "all", "comma-separated experiment ids, or 'all'")
+		trials = flag.Int("trials", harness.DefaultTrials, "seeded trials per parameter point")
+		seed   = flag.Uint64("seed", 1, "base seed")
+		full   = flag.Bool("full", false, "full report-scale sweeps")
+		csvDir = flag.String("csv", "", "also write each table as CSV into this directory")
+		recov  = flag.Bool("recovery-smoke", false, "run the native crash-recovery smoke (abandoned-lease reclaim on every backend + mmap reattach) and exit")
+		chaosO = flag.String("chaos", "", "run the E21 chaos matrix and write the accounting JSON to this path")
 	)
 	flag.Parse()
 
@@ -69,60 +51,6 @@ func main() {
 			os.Exit(1)
 		}
 		fmt.Printf("chaos accounting written to %s\n", *chaosO)
-		return
-	}
-
-	if *bench1 != "" {
-		if err := runBench1(*bench1, *seed, *bench1N, *bench1A); err != nil {
-			fmt.Fprintf(os.Stderr, "renamebench: %v\n", err)
-			os.Exit(1)
-		}
-		fmt.Printf("bench1 trajectory written to %s\n", *bench1)
-		return
-	}
-
-	if *bench2 != "" {
-		if err := runBench2(*bench2, *seed, *bench2N, *bench2A); err != nil {
-			fmt.Fprintf(os.Stderr, "renamebench: %v\n", err)
-			os.Exit(1)
-		}
-		fmt.Printf("bench2 churn trajectory written to %s\n", *bench2)
-		return
-	}
-
-	if *bench3 != "" {
-		if err := runBench3(*bench3, *seed, *bench3G, *bench3A); err != nil {
-			fmt.Fprintf(os.Stderr, "renamebench: %v\n", err)
-			os.Exit(1)
-		}
-		fmt.Printf("bench3 native scalability sweep written to %s\n", *bench3)
-		return
-	}
-
-	if *bench4 != "" {
-		if err := runBench4(*bench4, *seed, *bench4G); err != nil {
-			fmt.Fprintf(os.Stderr, "renamebench: %v\n", err)
-			os.Exit(1)
-		}
-		fmt.Printf("bench4 word-engine trajectory written to %s\n", *bench4)
-		return
-	}
-
-	if *bench5 != "" {
-		if err := runBench5(*bench5, *seed, *bench5R, *bench5N, *bench5A); err != nil {
-			fmt.Fprintf(os.Stderr, "renamebench: %v\n", err)
-			os.Exit(1)
-		}
-		fmt.Printf("bench5 open-loop latency trajectory written to %s\n", *bench5)
-		return
-	}
-
-	if *bench6 != "" {
-		if err := runBench6(*bench6, *seed, *bench6C, *bench6A); err != nil {
-			fmt.Fprintf(os.Stderr, "renamebench: %v\n", err)
-			os.Exit(1)
-		}
-		fmt.Printf("bench6 elastic diurnal trajectory written to %s\n", *bench6)
 		return
 	}
 

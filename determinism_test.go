@@ -7,6 +7,7 @@ package shmrename
 // current simulator must reproduce them bit for bit.
 
 import (
+	"fmt"
 	"testing"
 	"time"
 
@@ -70,6 +71,43 @@ func TestGoldenDeterminismTight(t *testing.T) {
 	res = sched.Run(sched.Config{N: 64, Seed: 7, Policy: sched.RoundRobin(),
 		Body: inst.Body, AfterStep: inst.Clock(), Spaces: inst.Probeables()})
 	checkGolden(t, "tight-rr", res)
+}
+
+// goldenMaxSteps pins sched.MaxSteps, the most shared-memory steps any one
+// process took, for the paper's two step-complexity claims under FastFIFO
+// at seeds 1, 2 and 3: E2 is Theorem 5's tight renaming (O(log n) steps
+// w.h.p.), E5 is Corollary 7's loose renaming with ℓ = 2. The seed-3 E2
+// run at n = 4096 shows the w.h.p. tail: its slowest process paid 92
+// steps, twice the seed-1 run's 46.
+var goldenMaxSteps = map[string][3]int64{
+	"E2/n=1024": {35, 36, 42},
+	"E2/n=4096": {46, 51, 92},
+	"E5/n=1024": {33, 33, 32},
+	"E5/n=4096": {33, 33, 33},
+}
+
+func TestGoldenMaxSteps(t *testing.T) {
+	workloads := map[string]func(n int) core.Instance{
+		"E2": func(n int) core.Instance { return core.NewTight(n, core.TightConfig{SelfClocked: true}) },
+		"E5": func(n int) core.Instance { return core.NewCorollary7(n, core.RoundsConfig{Ell: 2}, nil) },
+	}
+	for exp, mk := range workloads {
+		for _, n := range []int{1 << 10, 1 << 12} {
+			key := fmt.Sprintf("%s/n=%d", exp, n)
+			var got [3]int64
+			for i := range got {
+				inst := mk(n)
+				res := sched.Run(sched.Config{N: n, Seed: uint64(i + 1), Fast: sched.FastFIFO, Body: inst.Body})
+				if err := sched.VerifyUnique(res, inst.M()); err != nil {
+					t.Fatalf("%s seed %d: %v", key, i+1, err)
+				}
+				got[i] = sched.MaxSteps(res)
+			}
+			if want := goldenMaxSteps[key]; got != want {
+				t.Errorf("%s: max steps per seed %v, want golden %v", key, got, want)
+			}
+		}
+	}
 }
 
 // TestPerfSmoke is the benchmark guard of tier-1: one simulated E2 instance

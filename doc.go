@@ -63,8 +63,8 @@
 // occupancy), ArenaTau (the §III τ-register algorithm adapted with
 // releasable counting-device bits), and ArenaBackendSharded (below).
 // Releases are shm.OpClear operations in the kernel, so the adversarial
-// simulator covers churn schedules; the E15 harness experiment and
-// BENCH_2.json record the workload.
+// simulator covers churn schedules; the E15 harness experiment records
+// the workload.
 //
 // # Sharded arenas for multicore traffic
 //
@@ -89,8 +89,8 @@
 // shards recently observed full at no step cost. The price is name
 // tightness: issued names lie within the shards × per-shard-bound
 // envelope reported by Arena.NameBound (ALGORITHMS.md §8 discusses the
-// trade-off). Experiment E16 and BENCH_3.json measure the native
-// scalability; see PERF.md for regeneration instructions.
+// trade-off). Experiment E16 and BenchmarkShardedNative measure the
+// native scalability; PERF.md records the numbers.
 //
 // # The word-granular claim engine and batch operations
 //
@@ -101,7 +101,7 @@
 // snapshots a 64-name bitmap word and claims a free bit via CAS, fallback
 // scans walk words instead of names, and saturation hints steer probes
 // away from words observed full. At full occupancy this cuts the
-// structural steps/acquire cost by 3–35× (BENCH_4.json; PERF.md has the
+// structural steps/acquire cost by 3–35× (experiment E17; PERF.md has the
 // matrix) while preserving all safety and termination contracts.
 //
 // Churn-heavy services amortize further with the batch API:
@@ -143,12 +143,11 @@
 // with crash recovery: a cached block is one lease, Heartbeat renews
 // parked names along with granted ones, and the recovery sweep reclaims
 // abandoned blocks whole. OpenArena rejects LeaseBlocks, since a
-// per-worker cache cannot span OS processes. BENCH_5.json records the
-// measured effect — closed-loop acquire p99 at 64 goroutines drops from
-// ~200µs (tight, uncached) to 127ns (provisioned, cached) — and the
-// open-loop methodology behind it (experiment E19: Poisson and bursty
-// scheduled arrivals, coordinated-omission-free latency, saturation
-// knees) is documented in PERF.md and ALGORITHMS.md §12.
+// per-worker cache cannot span OS processes. BenchmarkArenaChurn
+// measures the effect at equal capacity (its sharded2+lease64 cell
+// against sharded2), and experiment E19 the open-loop latency (Poisson
+// and bursty scheduled arrivals, coordinated-omission-free latency,
+// saturation knees); PERF.md and ALGORITHMS.md §12 document both.
 //
 // # Execution modes and cost model
 //

@@ -16,8 +16,7 @@ import (
 // contract), the "word" rows the word-granular claim engine behind the same
 // config switch. Sharded and cached frontends are excluded (E19 measures
 // them). Today the enumeration yields elastic-level, level-array and
-// tau-longlived; BENCH_4.json records the level-array and tau-longlived
-// rows.
+// tau-longlived.
 func e17Backends() []struct {
 	Backend string
 	Scan    string
@@ -64,8 +63,8 @@ var e17Churn = longlived.ChurnConfig{Cycles: 4, HoldMin: 0, HoldMax: 8}
 // per-bit random probes plus a per-name backstop scan while the word path
 // pays one snapshot-scan-CAS per 64-name word. steps/acquire is the
 // machine-independent structural cost per name; "vs bit" is the word row's
-// reduction factor against its probe-path twin (the BENCH_4.json headline,
-// targeted at >= 2x).
+// reduction factor against its probe-path twin, held at >= 2x on the
+// level ladder (TestE17WordEngineInvariants, TestChurnMultiWordGolden).
 func expE17() Experiment {
 	return Experiment{
 		ID:    "E17",

@@ -17,7 +17,7 @@ import (
 // flags joins the E15 table with no change here; the enumeration
 // currently yields elastic-level, level-array, sharded and tau-longlived,
 // a superset of the canonical level-array and tau-longlived pair whose
-// (backend, n) rows BENCH_2.json tracks.
+// churn fingerprints TestChurnRegistryGolden (internal/longlived) pins.
 func e15Backends() []registry.Backend {
 	var out []registry.Backend
 	for _, b := range registry.All() {

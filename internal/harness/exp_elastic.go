@@ -25,8 +25,8 @@ func e20Backends() []registry.Backend {
 }
 
 // e20Phases is the diurnal k schedule on a capacity-n arena: load climbs
-// from a trickle to full provisioning and back down, the regime BENCH_6
-// records for the public API.
+// from a trickle to full provisioning and back down; the hold-time
+// benchmark's diurnal workload drives the public API through it.
 func e20Phases(n int) []int {
 	ks := []int{n / 64, n / 16, n / 4, n, n / 4, n / 16, n / 64}
 	for i, k := range ks {

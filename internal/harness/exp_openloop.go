@@ -35,10 +35,10 @@ func e19Backends() []registry.Backend {
 // streams at fixed offered rates against the word-scan sharded arena,
 // with and without the per-worker word-block lease caches, recording
 // scheduled-arrival→completion latency into merged HDR-style histograms
-// (metrics.Histogram) — the coordinated-omission-free methodology BENCH_5
-// applies to the public API. A second table sweeps the offered rate and
-// reports the saturation knee (openloop.Knee): the last rate each variant
-// sustains at ≥90% of offered.
+// (metrics.Histogram) — the coordinated-omission-free methodology the
+// hold-time benchmark's open-loop driver applies to the public API. A
+// second table sweeps the offered rate and reports the saturation knee
+// (openloop.Knee): the last rate each variant sustains at ≥90% of offered.
 //
 // This is a wall-clock experiment (native goroutines, like E16): the
 // latencies are machine-dependent, but the structural claims the test

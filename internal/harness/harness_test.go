@@ -117,11 +117,26 @@ func TestE2AllNamed(t *testing.T) {
 	}
 }
 
+// TestE3SpaceLinear pins the τ-register array's TAS bits over the quick
+// sweep (n = 2^7 … 2^16) and holds them to Theorem 5's ~2n auxiliary bits:
+// bits/n at most 2.08, the n = 128 cell's 266/128 rounded up.
 func TestE3SpaceLinear(t *testing.T) {
-	tabs := checkTables(t, "E3")
-	for _, row := range tabs[0].Rows {
-		if row[4] == "" {
-			t.Fatalf("E3 missing bits/n: %v", row)
+	want := []int{266, 512, 1026, 2060, 4114, 8208, 16406, 32788, 65550, 131072}
+	rows := checkTables(t, "E3")[0].Rows
+	if len(rows) != len(want) {
+		t.Fatalf("E3 has %d rows, want %d", len(rows), len(want))
+	}
+	for i, row := range rows {
+		n, errN := strconv.Atoi(row[0])
+		bits, errB := strconv.Atoi(row[3])
+		if errN != nil || errB != nil {
+			t.Fatalf("E3 row %v: n or bits not an integer", row)
+		}
+		if wantN := 128 << i; n != wantN || bits != want[i] {
+			t.Errorf("E3 n=%d: %d τ-register bits, want golden n=%d with %d", n, bits, wantN, want[i])
+		}
+		if float64(bits) > 2.08*float64(n) {
+			t.Errorf("E3 n=%d: %d bits is %.3f per name, above 2.08", n, bits, float64(bits)/float64(n))
 		}
 	}
 }

@@ -328,7 +328,7 @@ func TestHeartbeatCoversParkedNames(t *testing.T) {
 // TestGoldenGrantSequence pins the deterministic grant order of a
 // single-proc churn through the cache (fixed seed, fixed config). The
 // fingerprint changing means the cache's serving order changed — which
-// would invalidate the recorded BENCH_5 latency distribution shape. Proc
+// would change the latency distribution the cached benchmarks measure. Proc
 // 3's home stripe is 1, yet refills lease first-fit, so every grant must
 // also lie in stripe 0. A refill grants its block's lowest name, and the
 // rest of the block comes out ascending: names released meanwhile are

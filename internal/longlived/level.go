@@ -145,8 +145,8 @@ func (a *LevelArena) Levels() int { return len(a.levels) }
 // has reached, and the lease-stamp pages written so far with their page
 // table (and, for word records, the table mapping words onto levels). It
 // grows toward the full ladder as holders reach deeper levels;
-// BENCH_6.json compares the elastic arena against a fixed one that has
-// claimed in every level.
+// TestElasticProportionalResidency compares the elastic arena against a
+// fixed one that has claimed in every level.
 func (a *LevelArena) ResidentBytes() int64 {
 	var b int64
 	for _, s := range a.levels {

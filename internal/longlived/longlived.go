@@ -198,18 +198,18 @@ type ChurnConfig struct {
 }
 
 // DefaultChurn is the canonical churn workload. The E15 harness
-// experiment, the BENCH_2.json trajectory, and the Go benchmarks all
-// measure exactly this configuration — tune it here, nowhere else, or the
-// three surfaces silently diverge.
+// experiment, TestChurnRegistryGolden, and the Go benchmarks all measure
+// exactly this configuration — tune it here, nowhere else, or the three
+// surfaces silently diverge.
 var DefaultChurn = ChurnConfig{Cycles: 4, HoldMin: 0, HoldMax: 8}
 
 // BatchChurnBody returns a churn body that cycles whole batches: AcquireN
 // of batch names, a seeded-random number of holding Touch steps, then
-// ReleaseN of the batch. It is the workload of experiment E17 and the
-// BENCH_4.json sweep: per-name step costs fall as the batch grows because
-// word-granular backends serve up to 64 names per shared-memory access. A
-// worker that cannot complete its batch (arena full) releases the partial
-// batch and stops.
+// ReleaseN of the batch. It is the workload of experiment E17 and
+// TestChurnMultiWordGolden: per-name step costs fall as the batch grows
+// because word-granular backends serve up to 64 names per shared-memory
+// access. A worker that cannot complete its batch (arena full) releases the
+// partial batch and stops.
 func BatchChurnBody(a Arena, mon *Monitor, cfg ChurnConfig, batch int) func(p *shm.Proc) int {
 	return func(p *shm.Proc) int {
 		r := p.Rand()

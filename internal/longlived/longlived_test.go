@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"shmrename/internal/prng"
+	"shmrename/internal/registry"
 	"shmrename/internal/sched"
 	"shmrename/internal/shm"
 	"shmrename/internal/taureg"
@@ -188,6 +189,74 @@ func TestChurnSimulatedGolden(t *testing.T) {
 	}
 }
 
+// TestChurnRegistryGolden pins the canonical churn workload on the
+// registered simulated-mode shapes (per-bit probes, self-clocked τ): k = n/4
+// procs run DefaultChurn on a capacity-n arena under FastFIFO, for n = 2^8,
+// 2^10 and 2^12 at seeds 1–3. The fingerprint carries the step cost
+// (acquire steps over the n acquires) and the adaptivity signal:
+// level-array's max name scales with the peak holder count, τ's with the
+// capacity.
+func TestChurnRegistryGolden(t *testing.T) {
+	type fingerprint struct {
+		acquires, acquireSteps, maxName, maxActive int64
+	}
+	type cell struct {
+		backend string
+		n       int
+		seed    uint64
+	}
+	golden := map[cell]fingerprint{
+		{"level-array", 256, 1}:    {acquires: 256, acquireSteps: 527, maxName: 190, maxActive: 47},
+		{"level-array", 256, 2}:    {acquires: 256, acquireSteps: 522, maxName: 188, maxActive: 47},
+		{"level-array", 256, 3}:    {acquires: 256, acquireSteps: 559, maxName: 190, maxActive: 44},
+		{"level-array", 1024, 1}:   {acquires: 1024, acquireSteps: 4359, maxName: 447, maxActive: 140},
+		{"level-array", 1024, 2}:   {acquires: 1024, acquireSteps: 4410, maxName: 439, maxActive: 149},
+		{"level-array", 1024, 3}:   {acquires: 1024, acquireSteps: 4421, maxName: 444, maxActive: 138},
+		{"level-array", 4096, 1}:   {acquires: 4096, acquireSteps: 32747, maxName: 1915, maxActive: 525},
+		{"level-array", 4096, 2}:   {acquires: 4096, acquireSteps: 32918, maxName: 1964, maxActive: 518},
+		{"level-array", 4096, 3}:   {acquires: 4096, acquireSteps: 32816, maxName: 1963, maxActive: 526},
+		{"tau-longlived", 256, 1}:  {acquires: 256, acquireSteps: 838, maxName: 255, maxActive: 54},
+		{"tau-longlived", 256, 2}:  {acquires: 256, acquireSteps: 815, maxName: 255, maxActive: 52},
+		{"tau-longlived", 256, 3}:  {acquires: 256, acquireSteps: 830, maxName: 255, maxActive: 49},
+		{"tau-longlived", 1024, 1}: {acquires: 1024, acquireSteps: 3330, maxName: 1028, maxActive: 206},
+		{"tau-longlived", 1024, 2}: {acquires: 1024, acquireSteps: 3331, maxName: 1029, maxActive: 198},
+		{"tau-longlived", 1024, 3}: {acquires: 1024, acquireSteps: 3324, maxName: 1028, maxActive: 194},
+		{"tau-longlived", 4096, 1}: {acquires: 4096, acquireSteps: 13333, maxName: 4103, maxActive: 783},
+		{"tau-longlived", 4096, 2}: {acquires: 4096, acquireSteps: 13270, maxName: 4103, maxActive: 792},
+		{"tau-longlived", 4096, 3}: {acquires: 4096, acquireSteps: 13270, maxName: 4103, maxActive: 796},
+	}
+	for _, name := range []string{"level-array", "tau-longlived"} {
+		backend, ok := registry.Lookup(name)
+		if !ok {
+			t.Fatalf("backend %q is not registered", name)
+		}
+		for _, n := range []int{1 << 8, 1 << 10, 1 << 12} {
+			for seed := uint64(1); seed <= 3; seed++ {
+				c := cell{name, n, seed}
+				a := backend.New(registry.Config{Capacity: n})
+				mon := NewMonitor(a.NameBound())
+				sched.Run(sched.Config{
+					N:         n / 4,
+					Seed:      seed,
+					Fast:      sched.FastFIFO,
+					Body:      ChurnBody(a, mon, DefaultChurn),
+					AfterStep: a.Clock(),
+				})
+				if err := mon.Err(); err != nil {
+					t.Fatalf("%+v: %v", c, err)
+				}
+				if h := a.Held(); h != 0 {
+					t.Fatalf("%+v: %d names held after drain", c, h)
+				}
+				got := fingerprint{mon.Acquires(), mon.AcquireSteps(), mon.MaxName(), mon.MaxActive()}
+				if want := golden[c]; got != want {
+					t.Errorf("%s n=%d seed %d: fingerprint %+v, want golden %+v", name, n, seed, got, want)
+				}
+			}
+		}
+	}
+}
+
 // TestChurnWordScanGolden pins the deterministic churn fingerprint of the
 // word-granular fast path, exactly as TestChurnSimulatedGolden pins the
 // probe path: the word engine is behind a config switch, and each mode has
@@ -241,14 +310,14 @@ func TestChurnWordScanGolden(t *testing.T) {
 }
 
 // TestChurnMultiWordGolden pins the word path on multi-word ladders, in
-// the shape of BENCH_4's simulated cells: NewLevel(n), FIFO, seed 1, n/batch
+// the shape of experiment E17's cells: NewLevel(n), FIFO, seed 1, n/batch
 // procs churning batches of 1 and 4. The one-word ladders of
 // TestChurnWordScanGolden cannot see which word a probe picks; here levels
-// span 2–16 words (n=1024) and up to 64 (n=4096, BENCH_4's gate cell), so
-// the fingerprint pins where the probes put holders (max name: first fit
-// until a claim is lost, then the shm.NameSpace.ProbeWord window) and what
-// the contended claims cost in steps. The word path must stay at least 2×
-// below the bit path in acquire steps, BENCH_4's reduction gate.
+// span 2–16 words (n=1024) and up to 64 (n=4096), so the fingerprint pins
+// where the probes put holders (max name: first fit until a claim is lost,
+// then the shm.NameSpace.ProbeWord window) and what the contended claims
+// cost in steps. The word path must stay at least 2× below the bit path in
+// acquire steps, E17's claim.
 func TestChurnMultiWordGolden(t *testing.T) {
 	type fingerprint struct {
 		acquires, maxName, acquireSteps int64

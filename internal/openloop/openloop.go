@@ -4,7 +4,7 @@
 //
 // # Why open-loop
 //
-// Every closed-loop benchmark (BENCH_1–BENCH_4, the Go benchmarks) lets a
+// Every closed-loop benchmark (the Go benchmarks) lets a
 // slow operation delay the next request, so the load generator
 // involuntarily coordinates with the system under test and the recorded
 // tail hides exactly the latencies a production arrival stream would

@@ -16,8 +16,7 @@ var ErrFull = errors.New("openloop: arena full")
 
 // WrapArena adapts an internal longlived.Arena to Target, pooling procs
 // exactly as the public Arena does, so harness experiments drive internal
-// backends through the same open-loop machinery bench5 points at the
-// public API.
+// backends as a public Arena's caller would.
 func WrapArena(a longlived.Arena, seed uint64) Target {
 	return &arenaTarget{a: a, seed: seed}
 }
