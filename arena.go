@@ -113,7 +113,7 @@ type ArenaConfig struct {
 	// parked bit, on cache lines no other worker's hits write, so workers
 	// on different cores do not contend: two workers churning on two cores
 	// pair a release with an acquire in about 110 ns, against 130 ns
-	// uncached on two stripes and 240 ns on the level array
+	// uncached on two stripes and 270 ns on the level array
 	// (BenchmarkArenaChurn, PERF.md). A worker whose cache runs dry first
 	// takes every name parked in an idle worker cache — one no worker
 	// draws from or releases into while the refill watches (at most 1 µs)
@@ -124,7 +124,8 @@ type ArenaConfig struct {
 	// room — so parked blocks sit at the bottom of the name space, and
 	// either restock is issued lowest name first. The backend under the
 	// cache is built packed: the cache reaches it only for whole-block
-	// refills and spills, so padding its words would only cost memory.
+	// refills and spills, so rounding its levels up to whole cache lines
+	// would only cost memory.
 	// Released names recirculate through the releasing worker's cache, so
 	// steady-state churn stops touching the backend entirely — the regime
 	// BenchmarkArenaChurn's sharded2+lease64 cell measures against sharded2
@@ -486,8 +487,10 @@ type ArenaStats struct {
 	// arenas, fixed and elastic, and OpenArena's mapped namespace).
 	// Bitmaps and stamp pages become resident on first claim, so it
 	// follows the levels holders have reached — the memory-proportionality
-	// proxy the hold-time benchmark gates per holder. 0 for backends
-	// without a footprint report.
+	// proxy the hold-time benchmark gates per holder. An uncached arena
+	// rounds each level's bitmap up to whole 64-byte cache lines, so a
+	// level of W words counts ⌈W/8⌉·64 bytes. 0 for backends without a
+	// footprint report.
 	ResidentBytes int64
 	// ScrubPasses counts completed integrity scrub passes (Scrub calls and
 	// background ticks). Always 0 with Integrity off.
@@ -545,10 +548,10 @@ func NewArena(cfg ArenaConfig) (*Arena, error) {
 	if cfg.Capacity >= 1<<29 {
 		return nil, fmt.Errorf("shmrename: ArenaConfig.Capacity must be < 2^29, got %d", cfg.Capacity)
 	}
-	// Native runs pad each bitmap word to its own cache line, except under
-	// a lease cache: the cache reaches the backend only for whole-block
-	// refills and spills, too rarely for false sharing to cost what the
-	// padding does (registry.Config.Padded).
+	// Native runs give each level or stripe bitmap its own whole cache
+	// lines, except under a lease cache, whose backend stays packed: the
+	// cache reaches it only for whole-block refills and spills
+	// (registry.Config.Padded).
 	rcfg := registry.Config{Capacity: cfg.Capacity, MaxPasses: acquirePasses, Scan: "word", Padded: cfg.LeaseBlocks == 0}
 	switch cfg.Probe {
 	case ProbeAuto, ProbeWord:

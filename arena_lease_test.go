@@ -408,3 +408,47 @@ func TestWordLeaseFootprint(t *testing.T) {
 		t.Fatalf("Heartbeat() = %d, want %d held + %d parked names", got, 1000, parked)
 	}
 }
+
+// TestResidentFootprintShapes pins the resident bytes of the hold-time
+// benchmark's three uncached shapes after a one-goroutine fill, with each
+// level's bitmap rounded up to whole 64-byte lines. The level arena
+// (capacity 4096, 1,000 names) reaches levels 0–4: seven hint words and
+// 1+1+1+1+2 lines. The elastic arena (capacity 4096, 200 names) reaches
+// levels 0–2: three hint words and three lines. The sharded arena
+// (capacity 1200, two stripes of five levels each, 1,000 names) gets a
+// bound, not a value: a pooled proc can change its home stripe after a GC,
+// which moves the fill between stripes, so the bound is every level of
+// both stripes resident — ten hint words and 2×6 lines. One line per
+// bitmap word read 2,040 B, 1,680 B and 472 B here.
+func TestResidentFootprintShapes(t *testing.T) {
+	for _, tc := range []struct {
+		name   string
+		cfg    ArenaConfig
+		names  int
+		want   int64
+		atMost bool // want bounds ResidentBytes instead of pinning it
+	}{
+		{"level", ArenaConfig{Capacity: 4096}, 1000, 7*8 + 6*64, false},
+		{"sharded", ArenaConfig{Capacity: 1200, Backend: ArenaBackendSharded, Shards: 2}, 1000, 10*8 + 12*64, true},
+		{"elastic", ArenaConfig{Capacity: 4096, Backend: ArenaElastic}, 200, 3*8 + 3*64, false},
+	} {
+		a, err := NewArena(tc.cfg)
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		for range tc.names {
+			if _, err := a.Acquire(); err != nil {
+				t.Fatalf("%s: %v", tc.name, err)
+			}
+		}
+		rb := a.Stats().ResidentBytes
+		a.Close()
+		if tc.atMost && rb > tc.want {
+			t.Fatalf("%s: %d B resident holding %d names, want ≤ %d", tc.name, rb, tc.names, tc.want)
+		}
+		if !tc.atMost && rb != tc.want {
+			t.Fatalf("%s: %d B resident holding %d names, want %d", tc.name, rb, tc.names, tc.want)
+		}
+		t.Logf("%s: %d B resident holding %d names", tc.name, rb, tc.names)
+	}
+}

@@ -14,9 +14,9 @@ import (
 // 0 stripes GOMAXPROCS ways, clamped to Capacity.
 //
 // Resident bytes are the resident levels' saturation hints, the bitmap
-// words the first Acquire made resident — one padded 64-byte line, or one
-// packed 8-byte word per word a cache's first block spans, since the
-// backend under a lease cache is packed — and, with leases on, each
+// words the first Acquire made resident — one line-aligned 64-byte line,
+// or one packed 8-byte word per word a cache's first block spans, since
+// the backend under a lease cache is packed — and, with leases on, each
 // stripe's word-record page and span tables plus the record page the
 // block wrote (a public arena has one holder, so it keeps one 16-byte
 // record per bitmap word, not a stamp per name). The τ arena reports
@@ -33,8 +33,9 @@ func TestPublicShapes(t *testing.T) {
 	const (
 		level   = "level-array(levels=5,probes=4,scan=word)"
 		sharded = "sharded-level(shards=4,steal=2,scan=word)"
-		// padded and packed are one bitmap word's resident bytes; hint is
-		// one level's saturation hints (levels up to 4096 names).
+		// padded is the one cache line a line-aligned level of up to 8
+		// words installs, packed one bitmap word; hint is one level's
+		// saturation hints (levels up to 4096 names).
 		padded, packed, hint = 64, 8, 8
 		// recordPage is one page of word records (32 words of 16 bytes),
 		// span one word→bitmap table entry.

@@ -605,7 +605,9 @@ func BenchmarkArenaFill(b *testing.B) {
 // running at once. The cells pair each backend with and without a lease
 // cache (LeaseBlocks 64): at -cpu 2 a cache hit is only cheaper than the
 // backend's word claim if it writes nothing the other worker touches
-// (PERF.md, "Lease-cache hits on more than one core").
+// (PERF.md, "Lease-cache hits on more than one core"). B/holder is the
+// memory side of the trade: Stats().ResidentBytes over the 1,000 names
+// held, read once after the fill (PERF.md, "Line-aligned bitmaps").
 func BenchmarkArenaChurn(b *testing.B) {
 	const (
 		workers  = 2
@@ -658,6 +660,7 @@ func BenchmarkArenaChurn(b *testing.B) {
 			for range workers {
 				<-filled
 			}
+			resident := arena.Stats().ResidentBytes
 			b.ResetTimer()
 			close(start)
 			for range workers {
@@ -666,6 +669,7 @@ func BenchmarkArenaChurn(b *testing.B) {
 				}
 			}
 			b.StopTimer()
+			b.ReportMetric(float64(resident)/(workers*holders), "B/holder")
 		})
 	}
 }

@@ -164,6 +164,6 @@
 //
 // Name spaces are word-packed test-and-set bitmaps (64 names per word, one
 // bit per name, CAS-on-word claims). Native-mode instances can opt into a
-// cache-line-padded layout (one word per 64-byte line) to avoid false
-// sharing between concurrent claimers.
+// line-aligned layout (packed words rounded up to whole 64-byte cache
+// lines) so that no two spaces share a line.
 package shmrename

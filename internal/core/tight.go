@@ -21,10 +21,10 @@ type TightConfig struct {
 	// Simulated runs may also use self-clocked devices (observably
 	// equivalent, cheaper).
 	SelfClocked bool
-	// Padded lays the name bitmap out one word per cache line. Set it for
-	// native runs on real cores, where concurrent claimers would
-	// false-share packed bitmap words; leave it false for simulated runs,
-	// where the packed layout is smaller and cache-friendlier.
+	// Padded line-aligns the name bitmap: packed words rounded up to whole
+	// 64-byte cache lines that no other allocation shares. Set it for
+	// native runs on real cores; leave it false for simulated runs, where
+	// the packed layout skips the rounding.
 	Padded bool
 }
 

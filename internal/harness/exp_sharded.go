@@ -26,8 +26,8 @@ type e16Row struct {
 // the unsharded baseline is the registered level-array backend and the
 // sweep rows are the registered sharded frontend with the stripe count
 // overridden through registry.Config.Shards — both forced to the per-bit
-// probe path (Scan "bit") and cache-line padding, the shapes this native
-// experiment has always measured. Routing construction through the
+// probe path (Scan "bit") and line-aligned bitmaps (Padded), the shapes
+// this native experiment measures. Routing construction through the
 // registry keeps the baseline/frontend pair tied to the same constructors
 // every other experiment and the conformance suite exercise.
 func e16Rows(g int) []e16Row {

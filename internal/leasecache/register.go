@@ -37,8 +37,7 @@ func init() {
 			// word-block caches over the word-scan sharded frontend, which
 			// honors Shards and Elastic like the "sharded" backend. The
 			// stripes stay packed whatever Padded says: the cache reaches
-			// them only for whole-block refills and spills, too rarely for
-			// false sharing to cost what padding does.
+			// them only for whole-block refills and spills.
 			scfg := sharded.RegistryConfig(cfg)
 			scfg.WordScan = true // a block is one bitmap word
 			scfg.Padded = false

@@ -143,7 +143,8 @@ type ElasticConfig struct {
 	// WordScan enables the word-granular claim engine (see
 	// LevelConfig.WordScan).
 	WordScan bool
-	// Padded lays level bitmaps out one word per cache line (native runs).
+	// Padded line-aligns each level's bitmap: packed words rounded up to
+	// whole 64-byte cache lines (native runs).
 	Padded bool
 	// Lease enables the crash-recovery stamp layer. Each level owns its
 	// stamp array, created and retired with the level; LeaseDomains

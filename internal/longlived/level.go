@@ -37,7 +37,8 @@ type LevelConfig struct {
 	// (and the paper's per-TAS cost model) stay bit-identical across
 	// refactors.
 	WordScan bool
-	// Padded lays level bitmaps out one word per cache line for native
+	// Padded line-aligns each level's bitmap (packed words rounded up to
+	// whole 64-byte cache lines, see shm.NewNameSpacePadded) for native
 	// runs on real cores; leave false for simulated runs.
 	Padded bool
 	// Lease enables the crash-recovery stamp layer (see LeaseOpts): every

@@ -36,7 +36,7 @@ func TestLevelResidentOnFirstClaim(t *testing.T) {
 			if !a.tryClaim(p, lvl, 0, stamp) {
 				t.Fatalf("leased=%v: first claim in level %d failed", leased, li)
 			}
-			want := int64(lvl.Words()) * 64 // padded: one 64-byte line per word
+			want := int64(lvl.Words()+7) / 8 * 64 // padded: whole 64-byte lines of 8 words
 			if leased {
 				want += 64 * 8 // the stamp page of the level's first word
 			}

@@ -29,7 +29,8 @@ type TauConfig struct {
 	// When false, Clock() returns the cycle hook the scheduler must run
 	// after every granted step.
 	SelfClocked bool
-	// Padded pads the name bitmap for native runs.
+	// Padded line-aligns the name bitmap (packed words rounded up to whole
+	// 64-byte cache lines) for native runs.
 	Padded bool
 	// Lease enables the crash-recovery stamp layer on the name bitmap (see
 	// LeaseOpts). Device bits are NOT stamped — the τ-register counting

@@ -229,12 +229,14 @@ type Config struct {
 	// engine ignore it. The word-vs-bit experiment sweeps this dimension
 	// across registry backends instead of hand-wiring twin constructors.
 	Scan string
-	// Padded, when true, pads shared words to cache-line stride on backends
-	// that support it (native multicore runs); simulated runs leave it
-	// false, and so get packed storage. The sharded frontend forwards it to
-	// every stripe. Caching backends (Caps.Cached) ignore it and build their
-	// backend packed: the cache reaches it only for whole-block refills and
-	// spills, too rarely for false sharing to cost what padding does.
+	// Padded, when true, line-aligns name bitmaps on backends that support
+	// it (native multicore runs): each level's or stripe's words stay
+	// packed, but its bitmap is rounded up to whole 64-byte cache lines
+	// that no other level or stripe shares. Simulated runs leave it false,
+	// and so get packed storage without the rounding. The sharded frontend
+	// forwards it to every stripe. Caching backends (Caps.Cached) ignore it
+	// and build their backend packed: the cache reaches it only for
+	// whole-block refills and spills.
 	Padded bool
 	// Shards overrides the stripe count of sharded frontends; 0 selects the
 	// backend default. Unsharded backends ignore it.

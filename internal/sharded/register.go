@@ -17,8 +17,8 @@ const registryShards = 4
 // frontend's, for this package's registration and for the caching layers
 // registered over it: Shards defaults to registryShards and is clamped to
 // Capacity, Elastic stripes elastic sub-arenas, the word engine scans
-// unless Scan asks for "bit", and the stripes are padded only when Padded
-// asks for it.
+// unless Scan asks for "bit", and the stripes are line-aligned only when
+// Padded asks for it.
 func RegistryConfig(cfg registry.Config) Config {
 	shards := cfg.Shards
 	if shards == 0 {

@@ -91,8 +91,9 @@ type Config struct {
 	// acquires claim up to 64 names per step. Off by default — the per-bit
 	// probe path is the deterministic-mode golden-fingerprint contract.
 	WordScan bool
-	// Padded forwards the cache-line-padded bitmap layout to every shard,
-	// for native runs on real cores.
+	// Padded forwards the line-aligned bitmap layout (packed words rounded
+	// up to whole 64-byte cache lines per level) to every shard, for native
+	// runs on real cores.
 	Padded bool
 	// Lease forwards the crash-recovery stamp layer to every shard (see
 	// longlived.LeaseOpts); the frontend then exposes the shards' stamped

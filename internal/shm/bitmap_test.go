@@ -4,6 +4,7 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
+	"unsafe"
 
 	"shmrename/internal/prng"
 )
@@ -150,8 +151,8 @@ func TestBitmapMemoryFootprint(t *testing.T) {
 
 // TestNameSpaceResidentOnFirstClaim pins residency on first claim: reads
 // and releases on a fresh space take their usual steps but leave it at its
-// hints, and each kind of claim-side write installs the whole bitmap,
-// padding included.
+// hints, and each kind of claim-side write installs the whole bitmap: three
+// packed words, or the one cache line a padded space rounds them up to.
 func TestNameSpaceResidentOnFirstClaim(t *testing.T) {
 	claims := map[string]func(s *NameSpace, p *Proc){
 		"TryClaim":            func(s *NameSpace, p *Proc) { s.TryClaim(p, 129) },
@@ -163,8 +164,8 @@ func TestNameSpaceResidentOnFirstClaim(t *testing.T) {
 	for _, layout := range []struct {
 		name   string
 		mk     func(string, int) *NameSpace
-		stride int
-	}{{"packed", NewNameSpace, 1}, {"padded", NewNameSpacePadded, wordsPerLine}} {
+		bitmap int // bytes installed by the first claim
+	}{{"packed", NewNameSpace, 3 * 8}, {"padded", NewNameSpacePadded, 64}} {
 		for op, claim := range claims {
 			// 130 names: three bitmap words, summarized by one hint word.
 			s := layout.mk("resident-"+layout.name, 130)
@@ -183,12 +184,41 @@ func TestNameSpaceResidentOnFirstClaim(t *testing.T) {
 				t.Fatalf("%s %s: %d bytes after reads and releases, want the %d-byte hint word", layout.name, op, got, hints)
 			}
 			claim(s, p)
-			if got, want := s.FootprintBytes(), hints+3*layout.stride*8; got != want {
+			if got, want := s.FootprintBytes(), hints+layout.bitmap; got != want {
 				t.Fatalf("%s %s: %d bytes after the first claim, want %d", layout.name, op, got, want)
 			}
 			if s.CountClaimed() == 0 {
 				t.Fatalf("%s %s: the first claim is not visible", layout.name, op)
 			}
+		}
+	}
+}
+
+// TestPaddedBitmapWholeLines pins the padded layout: the bitmap a first
+// claim installs starts on a 64-byte boundary and spans ⌈W/8⌉ whole lines
+// for W words, so a padded space shares no cache line with another
+// allocation. The layout takes the alignment from the Go allocator (every
+// size class that a whole number of lines rounds up to is itself a
+// multiple of 64 bytes) rather than arranging it, so this test pins it.
+func TestPaddedBitmapWholeLines(t *testing.T) {
+	p := NewProc(0, nil, nil, 0)
+	for words := 1; words <= 130; words++ {
+		// A partial last word: the rounding counts words, not names.
+		s := NewNameSpacePadded("lines", 64*words-1)
+		s.TryClaim(p, s.Size()-1)
+		ws := s.bitmap()
+		lines := (words + wordsPerLine - 1) / wordsPerLine
+		if at := uintptr(unsafe.Pointer(&ws[0])); at%64 != 0 {
+			t.Fatalf("%d words: bitmap at %#x, not on a 64-byte boundary", words, at)
+		}
+		if len(ws) != lines*wordsPerLine {
+			t.Fatalf("%d words: bitmap of %d words, want %d whole lines", words, len(ws), lines)
+		}
+		if got, want := s.FootprintBytes()-len(s.sat.words)*8, lines*64; got != want {
+			t.Fatalf("%d words: %d bitmap bytes, want %d", words, got, want)
+		}
+		if !s.Probe(s.Size()-1) || s.CountClaimed() != 1 {
+			t.Fatalf("%d words: the claim in the last word is not visible", words)
 		}
 	}
 }

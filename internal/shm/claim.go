@@ -113,16 +113,17 @@ func (s *NameSpace) SaturateAll() { s.sat.SetAll() }
 func (s *NameSpace) DesaturateAll() { s.sat.Reset() }
 
 // FootprintBytes returns the storage the space has allocated so far: its
-// saturation-hint summary, plus the bitmap words (padding included) once a
-// claim has installed them. A diagnostic for memory-proportionality claims
-// (the arenas' resident-bytes reports), not a process step.
+// saturation-hint summary, plus the bitmap words (a padded space's
+// rounding to whole cache lines included) once a claim has installed
+// them. A diagnostic for memory-proportionality claims (the arenas'
+// resident-bytes reports), not a process step.
 func (s *NameSpace) FootprintBytes() int {
 	return (len(s.bitmap()) + len(s.sat.words)) * 8
 }
 
-// wordSlot returns the bitmap slot and the valid-bit mask of bitmap word w
-// (the final word of a non-multiple-of-64 space is partial).
-func (s *NameSpace) wordSlot(w int) (int, uint64) {
+// validBits returns the valid-bit mask of bitmap word w (the final word of
+// a non-multiple-of-64 space is partial).
+func (s *NameSpace) validBits(w int) uint64 {
 	if uint(w) >= uint(s.Words()) {
 		panic(fmt.Sprintf("shm: word %d outside space %q of %d words", w, s.label, s.Words()))
 	}
@@ -130,7 +131,7 @@ func (s *NameSpace) wordSlot(w int) (int, uint64) {
 	if rem := s.size - w<<6; rem < 64 {
 		valid = 1<<uint(rem) - 1
 	}
-	return w * s.stride, valid
+	return valid
 }
 
 // OpenWords returns which of bitmap words 64i..64i+63 are not hinted
@@ -244,10 +245,10 @@ func lowestBits(m uint64, k int) uint64 {
 // a failed step to rediscover a full word, and first-fit sweeps skip
 // freshly leased blocks at no step cost.
 func (s *NameSpace) claimLowest(p *Proc, w int, mask uint64, k int) uint64 {
-	at, valid := s.wordSlot(w)
+	valid := s.validBits(w)
 	mask &= valid
 	p.Step(Op{Kind: OpTAS, Space: s.id, Index: int32(w << 6)})
-	ptr := &s.resident()[at]
+	ptr := &s.resident()[w]
 	for {
 		cur := ptr.Load()
 		free := ^cur & mask
@@ -304,9 +305,9 @@ func (s *NameSpace) ClaimMask(p *Proc, w int, mask uint64) uint64 {
 // like Free). Clearing bits that are already free is a no-op, matching
 // Free's semantics. The word's saturation hint is dropped.
 func (s *NameSpace) FreeMask(p *Proc, w int, mask uint64) {
-	at, valid := s.wordSlot(w)
+	valid := s.validBits(w)
 	p.Step(Op{Kind: OpClear, Space: s.id, Index: int32(w << 6)})
-	s.clear(at, mask&valid)
+	s.clear(w, mask&valid)
 	s.sat.Clear(w)
 }
 

@@ -263,9 +263,8 @@ type LabeledProbeable interface {
 	Label() string
 }
 
-// wordsPerLine is the padded-layout stride: one occupied 8-byte word per
-// 64-byte cache line, so concurrent CAS traffic on neighbouring words never
-// false-shares a line in native mode.
+// wordsPerLine is the number of 8-byte bitmap words in one 64-byte cache
+// line; a padded space rounds its bitmap up to a whole number of lines.
 const wordsPerLine = 8
 
 // NameSpace is a hardware test-and-set name space: one single-writer TAS
@@ -278,8 +277,8 @@ const wordsPerLine = 8
 // (NewNameSpace) spends one bit per name — 8x less memory than the earlier
 // byte-per-name layout — and is the right choice for simulated runs, where
 // exactly one operation is in flight at a time. For native runs on real
-// cores, NewNameSpacePadded spreads the words one per cache line to avoid
-// false sharing between adjacent names.
+// cores, NewNameSpacePadded keeps the words packed but gives the space its
+// own whole cache lines, so no other space's words share them.
 //
 // The bitmap is resident on first claim: construction allocates only the
 // saturation hints, and the first claim-side write (a TryClaim, a word or
@@ -291,7 +290,7 @@ type NameSpace struct {
 	label  string
 	id     SpaceID
 	size   int
-	stride int // slots between occupied words: 1 packed, wordsPerLine padded
+	padded bool // install rounds the bitmap up to whole cache lines
 	// words is the bitmap, nil until the first claim-side write installs it
 	// (see resident).
 	words atomic.Pointer[[]atomic.Uint64]
@@ -317,18 +316,21 @@ var _ LabeledProbeable = (*NameSpace)(nil)
 // per word. The label identifies the space in operation descriptors and
 // traces; it is interned once, here.
 func NewNameSpace(label string, m int) *NameSpace {
-	return newNameSpace(label, m, 1)
+	return newNameSpace(label, m, false)
 }
 
-// NewNameSpacePadded returns a name space of m names laid out one word per
-// cache line, for native-mode runs where concurrent processes would
-// otherwise false-share bitmap words. Semantics are identical to
-// NewNameSpace.
+// NewNameSpacePadded returns a line-aligned name space of m names, for
+// native-mode runs where concurrent processes claim in neighbouring spaces
+// (the levels of a ladder, the stripes of a sharded arena). Its words are
+// packed, 64 names each, but the bitmap installed on first claim is
+// rounded up to whole 64-byte cache lines, and a Go allocation of a whole
+// number of lines starts on a line boundary, so W words take ⌈W/8⌉ lines
+// that no other space shares. Semantics are identical to NewNameSpace.
 func NewNameSpacePadded(label string, m int) *NameSpace {
-	return newNameSpace(label, m, wordsPerLine)
+	return newNameSpace(label, m, true)
 }
 
-func newNameSpace(label string, m, stride int) *NameSpace {
+func newNameSpace(label string, m int, padded bool) *NameSpace {
 	if m < 0 {
 		panic("shm: negative name space size")
 	}
@@ -336,7 +338,7 @@ func newNameSpace(label string, m, stride int) *NameSpace {
 		label:  label,
 		id:     InternSpace(label),
 		size:   m,
-		stride: stride,
+		padded: padded,
 		sat:    NewHintBits((m + 63) / 64),
 	}
 }
@@ -348,7 +350,7 @@ func newNameSpace(label string, m, stride int) *NameSpace {
 // resident from construction. Saturation hints are process-local (rebuilt
 // lazily by claims), never persisted.
 func NewNameSpaceBacked(label string, m int, words []atomic.Uint64) *NameSpace {
-	s := newNameSpace(label, m, 1)
+	s := newNameSpace(label, m, false)
 	if len(words) < s.Words() {
 		panic(fmt.Sprintf("shm: backing of %d words cannot hold %d names", len(words), m))
 	}
@@ -386,13 +388,13 @@ func (s *NameSpace) ID() SpaceID { return s.id }
 // Size returns the number of names.
 func (s *NameSpace) Size() int { return s.size }
 
-// bit returns the bitmap slot of the word holding name i and i's mask
-// within that word.
+// bit returns the bitmap word holding name i and i's mask within that
+// word.
 func (s *NameSpace) bit(i int) (int, uint64) {
 	if uint(i) >= uint(s.size) {
 		panic(fmt.Sprintf("shm: name %d outside space %q of %d", i, s.label, s.size))
 	}
-	return (i >> 6) * s.stride, uint64(1) << (uint(i) & 63)
+	return i >> 6, uint64(1) << (uint(i) & 63)
 }
 
 // bitmap returns the bitmap words, or nil while no claim has written the
@@ -415,28 +417,34 @@ func (s *NameSpace) resident() []atomic.Uint64 {
 
 // install allocates the bitmap and publishes it with one CAS. First claims
 // racing here each allocate, but one CAS wins and the losers adopt its
-// words before touching a bit, so no claim lands in a discarded bitmap.
+// words before touching a bit, so no claim lands in a discarded bitmap. A
+// padded space allocates whole cache lines; the words past Words() stay
+// zero.
 func (s *NameSpace) install() []atomic.Uint64 {
-	fresh := make([]atomic.Uint64, s.Words()*s.stride)
+	n := s.Words()
+	if s.padded {
+		n = (n + wordsPerLine - 1) / wordsPerLine * wordsPerLine
+	}
+	fresh := make([]atomic.Uint64, n)
 	if s.words.CompareAndSwap(nil, &fresh) {
 		return fresh
 	}
 	return *s.words.Load()
 }
 
-// load reads bitmap slot at; an absent bitmap reads as all free.
-func (s *NameSpace) load(at int) uint64 {
+// load reads bitmap word w; an absent bitmap reads as all free.
+func (s *NameSpace) load(w int) uint64 {
 	if ws := s.bitmap(); ws != nil {
-		return ws[at].Load()
+		return ws[w].Load()
 	}
 	return 0
 }
 
-// clear drops mask from bitmap slot at; an absent bitmap has no bit to
+// clear drops mask from bitmap word w; an absent bitmap has no bit to
 // clear.
-func (s *NameSpace) clear(at int, mask uint64) {
+func (s *NameSpace) clear(w int, mask uint64) {
 	if ws := s.bitmap(); ws != nil {
-		ws[at].And(^mask)
+		ws[w].And(^mask)
 	}
 }
 
@@ -444,15 +452,15 @@ func (s *NameSpace) clear(at int, mask uint64) {
 // step. Losing the CAS to a concurrent claim of a *different* name in the
 // same word retries; losing bit i itself returns false.
 func (s *NameSpace) TryClaim(p *Proc, i int) bool {
-	at, mask := s.bit(i)
+	w, mask := s.bit(i)
 	p.Step(Op{Kind: OpTAS, Space: s.id, Index: int32(i)})
-	w := &s.resident()[at]
+	ptr := &s.resident()[w]
 	for {
-		cur := w.Load()
+		cur := ptr.Load()
 		if cur&mask != 0 {
 			return false
 		}
-		if w.CompareAndSwap(cur, cur|mask) {
+		if ptr.CompareAndSwap(cur, cur|mask) {
 			return true
 		}
 	}
@@ -460,9 +468,9 @@ func (s *NameSpace) TryClaim(p *Proc, i int) bool {
 
 // Claimed reads whether name i is taken. One step.
 func (s *NameSpace) Claimed(p *Proc, i int) bool {
-	at, mask := s.bit(i)
+	w, mask := s.bit(i)
 	p.Step(Op{Kind: OpRead, Space: s.id, Index: int32(i)})
-	return s.load(at)&mask != 0
+	return s.load(w)&mask != 0
 }
 
 // Free clears name i — the release half of long-lived renaming. One step.
@@ -470,17 +478,17 @@ func (s *NameSpace) Claimed(p *Proc, i int) bool {
 // a no-op (the atomic clear of an unset bit changes nothing). The cleared
 // name is immediately reacquirable by any process.
 func (s *NameSpace) Free(p *Proc, i int) {
-	at, mask := s.bit(i)
+	w, mask := s.bit(i)
 	p.Step(Op{Kind: OpClear, Space: s.id, Index: int32(i)})
-	s.clear(at, mask)
-	s.sat.Clear(i >> 6)
+	s.clear(w, mask)
+	s.sat.Clear(w)
 }
 
 // Probe reports whether name i is taken without spending a process step.
 // It serves the adversary (Probeable) and post-run verification.
 func (s *NameSpace) Probe(i int) bool {
-	at, mask := s.bit(i)
-	return s.load(at)&mask != 0
+	w, mask := s.bit(i)
+	return s.load(w)&mask != 0
 }
 
 // CountClaimed returns the number of taken names: one popcount per bitmap
@@ -489,7 +497,7 @@ func (s *NameSpace) Probe(i int) bool {
 func (s *NameSpace) CountClaimed() int {
 	ws := s.bitmap()
 	c := 0
-	for i := 0; i < len(ws); i += s.stride {
+	for i := range ws {
 		c += bits.OnesCount64(ws[i].Load())
 	}
 	return c
@@ -499,7 +507,7 @@ func (s *NameSpace) CountClaimed() int {
 // processes are running.
 func (s *NameSpace) Reset() {
 	ws := s.bitmap()
-	for i := 0; i < len(ws); i += s.stride {
+	for i := range ws {
 		ws[i].Store(0)
 	}
 	s.sat.Reset()

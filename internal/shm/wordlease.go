@@ -142,9 +142,9 @@ func (st *Stamps) OwnedWord(p *Proc, w int) uint64 {
 func (st *Stamps) BitsWord(p *Proc, w int) uint64 {
 	for _, sp := range st.spans {
 		if local := w - int(sp.word); local >= 0 && local < int(sp.words) {
-			at, valid := sp.space.wordSlot(local)
+			valid := sp.space.validBits(local)
 			p.Step(Op{Kind: OpRead, Space: sp.space.id, Index: int32(local << 6)})
-			return sp.space.load(at) & valid
+			return sp.space.load(local) & valid
 		}
 	}
 	p.Step(Op{Kind: OpRead, Space: st.id, Index: int32(w << 6)})

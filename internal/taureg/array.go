@@ -31,14 +31,14 @@ type Array struct {
 // one per spec. Each spec must satisfy 0 <= Tau <= width and Tau == Names.
 // selfClocked selects native (true) or externally clocked (false) devices.
 // The name bitmap is packed (64 names/word); native-mode callers that want
-// false-sharing padding use NewArrayPadded.
+// it on cache lines of its own use NewArrayPadded.
 func NewArray(label string, width int, specs []Spec, selfClocked bool) *Array {
 	return newArray(label, width, specs, selfClocked, false)
 }
 
-// NewArrayPadded is NewArray with the name bitmap laid out one word per
-// cache line, for runs on real cores where concurrent claimers would
-// otherwise false-share bitmap words.
+// NewArrayPadded is NewArray with a line-aligned name bitmap: packed words
+// rounded up to whole 64-byte cache lines that no other allocation shares,
+// for runs on real cores.
 func NewArrayPadded(label string, width int, specs []Spec, selfClocked bool) *Array {
 	return newArray(label, width, specs, selfClocked, true)
 }
