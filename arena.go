@@ -485,12 +485,14 @@ type ArenaStats struct {
 	// ResidentBytes is the bitmap, saturation-hint, and lease-stamp
 	// storage allocated so far by backends that report it (level-ladder
 	// arenas, fixed and elastic, and OpenArena's mapped namespace).
-	// Bitmaps and stamp pages become resident on first claim, so it
-	// follows the levels holders have reached — the memory-proportionality
-	// proxy the hold-time benchmark gates per holder. An uncached arena
-	// rounds each level's bitmap up to whole 64-byte cache lines, so a
-	// level of W words counts ⌈W/8⌉·64 bytes. 0 for backends without a
-	// footprint report.
+	// Bitmaps become resident on first claim, so it follows the levels
+	// holders have reached — the memory-proportionality proxy the
+	// hold-time benchmark gates per holder. With Lease on, a NewArena
+	// handle keeps one 16-byte lease record per bitmap word in the same
+	// allocation, so a level of W words counts 24·W bytes. An uncached
+	// arena rounds each level's allocation up to whole 64-byte cache
+	// lines, so a level of W words counts ⌈W/8⌉·64 bytes (⌈3W/8⌉·64 with
+	// Lease). 0 for backends without a footprint report.
 	ResidentBytes int64
 	// ScrubPasses counts completed integrity scrub passes (Scrub calls and
 	// background ticks). Always 0 with Integrity off.

@@ -363,10 +363,13 @@ func TestArenaStatsRaceStorm(t *testing.T) {
 
 // TestWordLeaseFootprint pins what one-holder word records cost on the
 // cached-leased shape: two stripes at capacity 4096 under 64-name lease
-// blocks, holding 1,000 names from two goroutines, keep their resident
-// bytes under 3 B per holder (per-name stamps kept 9,544 B here, 9,200 of
-// them stamp pages), and a heartbeat still counts names — held plus
-// parked — not the words it renewed.
+// blocks, holding 1,000 names from two goroutines, keep exactly 840 B
+// resident. First-fit blocks reach levels 0–4 of stripe 0, 31 bitmap
+// words, each installed with its 16-byte record (24 B a word), and the
+// two stripes' six levels each hold one hint word: 2×6×8 + 31×24 B. Word
+// records kept in a page of 32 beside page and span tables read 1,080 B
+// here, per-name stamps 9,544 B. A heartbeat still counts names — held
+// plus parked — not the words it renewed.
 func TestWordLeaseFootprint(t *testing.T) {
 	a, err := NewArena(ArenaConfig{
 		Backend:     ArenaBackendSharded,
@@ -399,8 +402,8 @@ func TestWordLeaseFootprint(t *testing.T) {
 		t.Fatal(err)
 	}
 	rb := a.Stats().ResidentBytes
-	if rb > 3000 {
-		t.Fatalf("ResidentBytes = %d holding 1000 names, want ≤ 3000", rb)
+	if want := int64(2*6*8 + 31*24); rb != want {
+		t.Fatalf("ResidentBytes = %d holding 1000 names, want %d", rb, want)
 	}
 	t.Logf("%d B resident holding 1000 names", rb)
 	parked := a.cache.Cached()

@@ -13,14 +13,14 @@ import (
 // lease cache has one slot per P, and a sharded row that leaves Shards at
 // 0 stripes GOMAXPROCS ways, clamped to Capacity.
 //
-// Resident bytes are the resident levels' saturation hints, the bitmap
-// words the first Acquire made resident — one line-aligned 64-byte line,
+// Resident bytes are the resident levels' saturation hints and the
+// allocation the first Acquire installed — one line-aligned 64-byte line,
 // or one packed 8-byte word per word a cache's first block spans, since
-// the backend under a lease cache is packed — and, with leases on, each
-// stripe's word-record page and span tables plus the record page the
-// block wrote (a public arena has one holder, so it keeps one 16-byte
-// record per bitmap word, not a stamp per name). The τ arena reports
-// no footprint.
+// the backend under a lease cache is packed. With leases on, that
+// allocation also holds the level's word records, 16 bytes per bitmap
+// word (a public arena has one holder, so it keeps one record per word,
+// not a stamp per name), and nothing else is allocated for them. The τ
+// arena reports no footprint.
 func TestPublicShapes(t *testing.T) {
 	lease := &LeaseConfig{TTL: time.Second}
 	procs := runtime.GOMAXPROCS(0)
@@ -34,19 +34,11 @@ func TestPublicShapes(t *testing.T) {
 		level   = "level-array(levels=5,probes=4,scan=word)"
 		sharded = "sharded-level(shards=4,steal=2,scan=word)"
 		// padded is the one cache line a line-aligned level of up to 8
-		// words installs, packed one bitmap word; hint is one level's
+		// words installs, packed one bitmap word, and leasedWord one
+		// packed bitmap word with its 16-byte record; hint is one level's
 		// saturation hints (levels up to 4096 names).
-		padded, packed, hint = 64, 8, 8
-		// recordPage is one page of word records (32 words of 16 bytes),
-		// span one word→bitmap table entry.
-		recordPage, span = 32 * 16, 16
+		padded, packed, leasedWord, hint = 64, 8, 24, 8
 	)
-	// records is one stripe's word-record tables before any write: the
-	// page table and one span per level.
-	records := func(capacity int) int64 {
-		words := (ladderBound(capacity) + 63) / 64
-		return 8*int64((words+31)/32) + span*int64(ladderLevels(capacity))
-	}
 	// A first block spans one word per stripe it draws from: stripes
 	// narrower than a word each give all their names.
 	autoBlockWords := int64((64 + min(perShard, 64) - 1) / min(perShard, 64))
@@ -81,7 +73,7 @@ func TestPublicShapes(t *testing.T) {
 		{"sharded-cached-leased-integrity", ArenaConfig{Capacity: 1000, Backend: ArenaBackendSharded, Shards: 4,
 			LeaseBlocks: 64, Lease: lease, Integrity: &IntegrityConfig{}},
 			cached(sharded, 64), 1768, 1000, 1000, true,
-			4*ladderHints(250) + packed + 4*records(250) + min(recordPage, 16*int64((ladderBound(250)+63)/64))},
+			4*ladderHints(250) + leasedWord},
 		{"default-cached", ArenaConfig{Capacity: 1000, LeaseBlocks: 32},
 			cached(level, 32), 1960, 1000, 1000, false, ladderHints(1000) + packed},
 		{"sharded-auto", ArenaConfig{Capacity: 1000, Backend: ArenaBackendSharded},
@@ -130,15 +122,6 @@ func ladderBound(capacity int) int {
 		bound += size
 	}
 	return bound
-}
-
-// ladderLevels is the level count of the ladder ladderBound sizes.
-func ladderLevels(capacity int) int {
-	levels := 1
-	for size := 64; size < capacity; size *= 2 {
-		levels++
-	}
-	return levels
 }
 
 // ladderHints is the saturation-hint footprint of the level ladder that

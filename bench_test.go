@@ -11,6 +11,7 @@ import (
 	"fmt"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"shmrename/internal/backfill"
 	"shmrename/internal/balls"
@@ -605,9 +606,12 @@ func BenchmarkArenaFill(b *testing.B) {
 // running at once. The cells pair each backend with and without a lease
 // cache (LeaseBlocks 64): at -cpu 2 a cache hit is only cheaper than the
 // backend's word claim if it writes nothing the other worker touches
-// (PERF.md, "Lease-cache hits on more than one core"). B/holder is the
-// memory side of the trade: Stats().ResidentBytes over the 1,000 names
-// held, read once after the fill (PERF.md, "Line-aligned bitmaps").
+// (PERF.md, "Lease-cache hits on more than one core"). level+leased turns
+// on crash-recovery leases without a cache, so every claim and release
+// also updates its word's lease record (PERF.md, "Word lease records").
+// B/holder is the memory side of the trade: Stats().ResidentBytes over
+// the 1,000 names held, read once after the fill (PERF.md, "Line-aligned
+// bitmaps").
 func BenchmarkArenaChurn(b *testing.B) {
 	const (
 		workers  = 2
@@ -619,6 +623,7 @@ func BenchmarkArenaChurn(b *testing.B) {
 		cfg  ArenaConfig
 	}{
 		{"level", ArenaConfig{Capacity: capacity}},
+		{"level+leased", ArenaConfig{Capacity: capacity, Lease: &LeaseConfig{TTL: time.Hour}}},
 		{"sharded2", ArenaConfig{Capacity: capacity, Backend: ArenaBackendSharded, Shards: 2}},
 		{"level+lease64", ArenaConfig{Capacity: capacity, LeaseBlocks: 64}},
 		{"sharded2+lease64", ArenaConfig{Capacity: capacity, Backend: ArenaBackendSharded, Shards: 2, LeaseBlocks: 64}},
@@ -690,6 +695,7 @@ func BenchmarkArenaHandoff(b *testing.B) {
 		cfg  ArenaConfig
 	}{
 		{"level", ArenaConfig{Capacity: capacity}},
+		{"level+leased", ArenaConfig{Capacity: capacity, Lease: &LeaseConfig{TTL: time.Hour}}},
 		{"sharded2", ArenaConfig{Capacity: capacity, Backend: ArenaBackendSharded, Shards: 2}},
 		{"level+lease64", ArenaConfig{Capacity: capacity, LeaseBlocks: 64}},
 		{"sharded2+lease64", ArenaConfig{Capacity: capacity, Backend: ArenaBackendSharded, Shards: 2, LeaseBlocks: 64}},

@@ -257,8 +257,7 @@ func (a *ElasticArena) installLevel(li int) {
 		size:  a.sizes[li],
 	}
 	if a.cfg.Lease.enabled() {
-		lvl.stamps = a.cfg.Lease.newStamps(label+":lease", a.sizes[li])
-		lvl.space.AttachStamps(lvl.stamps, 0)
+		lvl.stamps = a.cfg.Lease.newStamps(label+":lease", lvl.space)
 	}
 	a.levels[li].Store(lvl)
 }
@@ -321,9 +320,10 @@ func (a *ElasticArena) CapacityNow() int { return int(a.capNow.Load()) }
 func (a *ElasticArena) PeakCapacity() int { return int(a.peakCap.Load()) }
 
 // ResidentBytes implements registry.Footprint: the storage the resident
-// levels have allocated so far — saturation hints and stamp page tables
-// from their grow, bitmaps and stamp pages from their first claims —
-// summed at call time.
+// levels have allocated so far — saturation hints (and per-name stamp page
+// tables) from their grow, bitmaps with their word records (or per-name
+// stamp pages) from their first claims — summed at call time, so a
+// retired level's records leave with its bitmap.
 func (a *ElasticArena) ResidentBytes() int64 {
 	var b int64
 	for li := range a.levels {

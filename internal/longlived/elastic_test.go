@@ -130,7 +130,8 @@ func TestElasticGrowFillShrink(t *testing.T) {
 // structurally rather than on wall-clock measurements. The first case
 // churns from a cold start; the second is the trough after a peak, the
 // regime where the elastic ladder differs from a fixed one whose pages
-// also become resident only on first claim.
+// also become resident only on first claim, run once unleased and once
+// with one-holder word records, whose bytes it pins.
 func TestElasticProportionalResidency(t *testing.T) {
 	const capacity = 4096
 	const k = capacity / 64
@@ -219,6 +220,22 @@ func TestElasticProportionalResidency(t *testing.T) {
 	if elSteps != 16899 || fixedSteps != 26788 {
 		t.Fatalf("peak-first trickle acquire steps: elastic %d, fixed %d; want golden 16899, 26788",
 			elSteps, fixedSteps)
+	}
+
+	// Leased with one holder, each level keeps its word records in its
+	// bitmap's allocation (16 B per word beside the 8-B bitmap word), so
+	// the peak installs records in every level and the drain takes them
+	// away with the retired levels' bitmaps. The fixed ladder keeps all 7
+	// levels (7 hint words, 127 bitmap words); the elastic ladder keeps
+	// levels 0–2 (3 hint words, 7 bitmap words).
+	lease := &LeaseOpts{Epochs: shm.NewCounterEpochs(1), Holder: 1}
+	leasedEl := NewElastic(capacity, ElasticConfig{Lease: lease, Label: "t-eprop-le"})
+	leasedFixed := NewLevel(capacity, LevelConfig{Lease: lease, Label: "t-eprop-lf"})
+	peakTrickle(leasedEl)
+	peakTrickle(leasedFixed)
+	if eb, fb := leasedEl.ResidentBytes(), leasedFixed.ResidentBytes(); eb != 3*8+7*24 || fb != 7*8+127*24 {
+		t.Fatalf("leased peak-first: elastic %d B, fixed %d B resident; want %d and %d",
+			eb, fb, 3*8+7*24, 7*8+127*24)
 	}
 }
 

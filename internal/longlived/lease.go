@@ -2,7 +2,6 @@ package longlived
 
 import (
 	"fmt"
-	"math/bits"
 
 	"shmrename/internal/shm"
 )
@@ -16,9 +15,10 @@ import (
 //
 // The stamp layout follows the holder. With one holder for every claim
 // (Holder nonzero) the arena keeps one word record per 64-name bitmap
-// word — a lease plus an owned mask (shm.NewWordStamps) — since a word's
-// names then share one lease anyway. With a holder per proc (Holder zero)
-// it keeps one stamp per name.
+// word — a lease plus an owned mask (shm.NewWordStamps), stored in the
+// level's own bitmap allocation — since a word's names then share one
+// lease anyway. With a holder per proc (Holder zero) it keeps one stamp
+// per name.
 //
 // A word-block lease cache (package leasecache) layered above a leased
 // backend holds each cached block as one ordinary lease: parked names are
@@ -39,16 +39,28 @@ type LeaseOpts struct {
 // enabled reports whether the lease layer is on.
 func (o *LeaseOpts) enabled() bool { return o != nil && o.Epochs != nil }
 
-// newStamps returns the stamp array over n names the holder rule selects:
-// word records for one holder, per-name stamps for a holder per proc.
-func (o *LeaseOpts) newStamps(label string, n int) *shm.Stamps {
-	if o.Holder == 0 {
-		return shm.NewStamps(label, n)
-	}
+// newStamps attaches the stamp array the holder rule selects to levels,
+// laid end to end from name 0, and returns it: word records in the
+// levels' own allocations for one holder, per-name stamps for a holder
+// per proc.
+func (o *LeaseOpts) newStamps(label string, levels ...*shm.NameSpace) *shm.Stamps {
 	if o.Holder > shm.MaxHolder {
 		panic(fmt.Sprintf("longlived: holder %d outside [1, %d]", o.Holder, uint64(shm.MaxHolder)))
 	}
-	return shm.NewWordStamps(label, n, o.Epochs)
+	if o.Holder != 0 {
+		return shm.NewWordStamps(label, levels, o.Epochs)
+	}
+	n := 0
+	for _, s := range levels {
+		n += s.Size()
+	}
+	st := shm.NewStamps(label, n)
+	base := 0
+	for _, s := range levels {
+		s.AttachStamps(st, base)
+		base += s.Size()
+	}
+	return st
 }
 
 // holder resolves the proc's holder identity.
@@ -107,37 +119,15 @@ type Recoverable interface {
 
 // HeartbeatHolder renews every lease the holder currently owns across the
 // arena's domains to the given epoch, returning the number of names whose
-// lease it renewed. One step per renewed stamp slot: per name on per-name
-// stamps, per leased bitmap word on word records, where only words whose
-// owned mask is nonempty are renewed (a lease covering no name protects
-// nothing). Slots whose lease was already reclaimed are skipped — the
-// holder has lost those names — and so are stamp pages never written,
-// which hold no lease at all.
+// lease it renewed (shm.Stamps.RefreshHolder): one step per renewed stamp
+// slot, per name on per-name stamps and per leased bitmap word holding
+// names on word records. Slots whose lease was already reclaimed are
+// skipped — the holder has lost those names — and so is stamp storage
+// never written, which holds no lease at all.
 func HeartbeatHolder(a Recoverable, p *shm.Proc, holder, epoch uint64) int {
 	renewed := 0
 	for _, d := range a.LeaseDomains() {
-		st := d.Stamps
-		n, page := st.Slots(), st.PageSlots()
-		for lo := 0; lo < n; lo += page {
-			if !st.Resident(lo) {
-				continue
-			}
-			for s := lo; s < min(lo+page, n); s++ {
-				if h, _ := shm.UnpackStamp(st.Load(s)); h != holder {
-					continue
-				}
-				if !st.PerWord() {
-					if st.Refresh(p, s, holder, epoch) {
-						renewed++
-					}
-					continue
-				}
-				owned := st.Owned(s)
-				if owned != 0 && st.RefreshWord(p, s, holder, epoch) {
-					renewed += bits.OnesCount64(owned)
-				}
-			}
-		}
+		renewed += d.Stamps.RefreshHolder(p, holder, epoch)
 	}
 	return renewed
 }

@@ -73,8 +73,9 @@ func (c *LevelConfig) fill() {
 // takes the lowest open word of its level, and draws among the 4 lowest
 // only once its proc has lost a claim (shm.NameSpace.ProbeWord), so
 // holders also pack into the low words of the level they reach. A level's
-// bitmap and stamp pages become resident on its first claim, so the
-// arena's memory follows the same O(k) prefix.
+// bitmap (with its word records, under one holder) and stamp pages become
+// resident on its first claim, so the arena's memory follows the same O(k)
+// prefix.
 type LevelArena struct {
 	cfg    LevelConfig
 	levels []*shm.NameSpace
@@ -108,10 +109,7 @@ func NewLevel(capacity int, cfg LevelConfig) *LevelArena {
 	}
 	a.addLevel(mkSpace, capacity)
 	if cfg.Lease.enabled() {
-		a.stamps = cfg.Lease.newStamps(cfg.Label+":lease", a.bound)
-		for li, lvl := range a.levels {
-			lvl.AttachStamps(a.stamps, a.base[li])
-		}
+		a.stamps = cfg.Lease.newStamps(cfg.Label+":lease", a.levels...)
 	}
 	return a
 }
@@ -142,12 +140,12 @@ func (a *LevelArena) NameBound() int { return a.bound }
 func (a *LevelArena) Levels() int { return len(a.levels) }
 
 // ResidentBytes implements registry.Footprint: the storage allocated so
-// far — every level's saturation hints, the bitmap of each level a claim
-// has reached, and the lease-stamp pages written so far with their page
-// table (and, for word records, the table mapping words onto levels). It
-// grows toward the full ladder as holders reach deeper levels;
-// TestElasticProportionalResidency compares the elastic arena against a
-// fixed one that has claimed in every level.
+// far — every level's saturation hints, the allocation of each level a
+// claim has reached (its bitmap, with its word records under one holder),
+// and, with per-name stamps, the stamp pages written so far with their
+// page table. It grows toward the full ladder as holders reach deeper
+// levels; TestElasticProportionalResidency compares the elastic arena
+// against a fixed one that has claimed in every level.
 func (a *LevelArena) ResidentBytes() int64 {
 	var b int64
 	for _, s := range a.levels {

@@ -115,28 +115,25 @@ func TestHeartbeatOneStepPerLeasedWord(t *testing.T) {
 	}
 }
 
-// domainsOnly is a Recoverable that serves only its lease domains.
-type domainsOnly struct {
-	Arena
-	domains []LeaseDomain
-}
-
-func (d domainsOnly) LeaseDomains() []LeaseDomain { return d.domains }
-
-// TestHeartbeatReachesLaterRecordPages: a holder whose only names lie past
-// the first page of word records (32 words) is still renewed, though the
-// first page was never written.
+// TestHeartbeatReachesLaterRecordPages: a holder whose only name lies in
+// a later level of a ladder is still renewed, though the levels below it
+// were never claimed and hold no records.
 func TestHeartbeatReachesLaterRecordPages(t *testing.T) {
 	const holder = 5
 	ep := shm.NewCounterEpochs(1)
-	ns := shm.NewNameSpace("hb-pages:L0", 64*40)
-	st := shm.NewWordStamps("hb-pages:lease", 64*40, ep)
-	ns.AttachStamps(st, 0)
+	a := NewLevel(4096, LevelConfig{WordScan: true, Lease: &LeaseOpts{Epochs: ep, Holder: holder}})
 	p := shm.NewProc(0, prng.NewStream(1, 0), nil, 0)
-	if n := ns.ClaimFirstFreeStamped(p, 35, shm.PackStamp(holder, 0)); n != 35*64 {
-		t.Fatalf("claimed %d, want %d", n, 35*64)
+	const later = 4
+	if !a.tryClaim(p, a.levels[later], 3, a.leaseStamp(p)) {
+		t.Fatalf("claim in level %d failed", later)
 	}
-	a := domainsOnly{domains: []LeaseDomain{{Stamps: st, IsHeld: ns.Probe}}}
+	st := a.LeaseDomains()[0].Stamps
+	for w := range st.Slots() {
+		inLater := w >= a.base[later]>>6 && w < a.base[later+1]>>6
+		if resident := st.Resident(w); resident != inLater {
+			t.Fatalf("word %d resident %v; only level %d was claimed", w, resident, later)
+		}
+	}
 	if got := HeartbeatHolder(a, p, holder, ep.Advance(1)); got != 1 {
 		t.Fatalf("heartbeat renewed %d names, want 1", got)
 	}

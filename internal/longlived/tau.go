@@ -123,8 +123,7 @@ func NewTau(capacity int, cfg TauConfig) *TauArena {
 			width, tau, cfg.SelfClocked)
 	}
 	if cfg.Lease.enabled() {
-		a.stamps = cfg.Lease.newStamps(cfg.Label+":lease", a.names.Size())
-		a.names.AttachStamps(a.stamps, 0)
+		a.stamps = cfg.Lease.newStamps(cfg.Label+":lease", a.names)
 	}
 	return a
 }

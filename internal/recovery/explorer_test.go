@@ -48,12 +48,8 @@ type explorerArena struct {
 }
 
 func newExplorerArena(ep shm.EpochSource) *explorerArena {
-	a := &explorerArena{
-		ns: shm.NewNameSpace("explore:L0", 64*explorerWords),
-		st: shm.NewWordStamps("explore:lease", 64*explorerWords, ep),
-	}
-	a.ns.AttachStamps(a.st, 0)
-	return a
+	ns := shm.NewNameSpace("explore:L0", 64*explorerWords)
+	return &explorerArena{ns: ns, st: shm.NewWordStamps("explore:lease", []*shm.NameSpace{ns}, ep)}
 }
 
 func (a *explorerArena) Acquire(p *shm.Proc) int {

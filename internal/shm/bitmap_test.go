@@ -194,31 +194,45 @@ func TestNameSpaceResidentOnFirstClaim(t *testing.T) {
 	}
 }
 
-// TestPaddedBitmapWholeLines pins the padded layout: the bitmap a first
-// claim installs starts on a 64-byte boundary and spans ⌈W/8⌉ whole lines
-// for W words, so a padded space shares no cache line with another
+// TestPaddedBitmapWholeLines pins the padded layout: the allocation a
+// first claim installs starts on a 64-byte boundary and spans whole lines
+// — ⌈W/8⌉ for W bitmap words, ⌈3W/8⌉ when word lease records follow the
+// bitmap — so a padded space shares no cache line with another
 // allocation. The layout takes the alignment from the Go allocator (every
 // size class that a whole number of lines rounds up to is itself a
 // multiple of 64 bytes) rather than arranging it, so this test pins it.
 func TestPaddedBitmapWholeLines(t *testing.T) {
 	p := NewProc(0, nil, nil, 0)
-	for words := 1; words <= 130; words++ {
-		// A partial last word: the rounding counts words, not names.
-		s := NewNameSpacePadded("lines", 64*words-1)
-		s.TryClaim(p, s.Size()-1)
-		ws := s.bitmap()
-		lines := (words + wordsPerLine - 1) / wordsPerLine
-		if at := uintptr(unsafe.Pointer(&ws[0])); at%64 != 0 {
-			t.Fatalf("%d words: bitmap at %#x, not on a 64-byte boundary", words, at)
-		}
-		if len(ws) != lines*wordsPerLine {
-			t.Fatalf("%d words: bitmap of %d words, want %d whole lines", words, len(ws), lines)
-		}
-		if got, want := s.FootprintBytes()-len(s.sat.words)*8, lines*64; got != want {
-			t.Fatalf("%d words: %d bitmap bytes, want %d", words, got, want)
-		}
-		if !s.Probe(s.Size()-1) || s.CountClaimed() != 1 {
-			t.Fatalf("%d words: the claim in the last word is not visible", words)
+	for _, leased := range []bool{false, true} {
+		for words := 1; words <= 130; words++ {
+			// A partial last word: the rounding counts words, not names.
+			s := NewNameSpacePadded("lines", 64*words-1)
+			cells, claim := words, s.TryClaim
+			if leased {
+				NewWordStamps("lines:lease", []*NameSpace{s}, NewCounterEpochs(1))
+				cells = 3 * words
+				claim = func(p *Proc, i int) bool { return s.TryClaimStamped(p, i, PackStamp(5, 0)) }
+			}
+			if !claim(p, s.Size()-1) {
+				t.Fatalf("leased=%v %d words: the claim of the last name failed", leased, words)
+			}
+			ws := s.allocation()
+			lines := (cells + wordsPerLine - 1) / wordsPerLine
+			if at := uintptr(unsafe.Pointer(&ws[0])); at%64 != 0 {
+				t.Fatalf("leased=%v %d words: allocation at %#x, not on a 64-byte boundary", leased, words, at)
+			}
+			if len(ws) != lines*wordsPerLine {
+				t.Fatalf("leased=%v %d words: allocation of %d words, want %d whole lines", leased, words, len(ws), lines)
+			}
+			if got, want := s.FootprintBytes()-len(s.sat.words)*8, lines*64; got != want {
+				t.Fatalf("leased=%v %d words: %d allocated bytes, want %d", leased, words, got, want)
+			}
+			if !s.Probe(s.Size()-1) || s.CountClaimed() != 1 {
+				t.Fatalf("leased=%v %d words: the claim in the last word is not visible", leased, words)
+			}
+			if leased && s.stamps.Owned(words-1) != 1<<62 {
+				t.Fatalf("%d words: the last word owns %#x, want its last name", words, s.stamps.Owned(words-1))
+			}
 		}
 	}
 }

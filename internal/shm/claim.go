@@ -113,12 +113,13 @@ func (s *NameSpace) SaturateAll() { s.sat.SetAll() }
 func (s *NameSpace) DesaturateAll() { s.sat.Reset() }
 
 // FootprintBytes returns the storage the space has allocated so far: its
-// saturation-hint summary, plus the bitmap words (a padded space's
-// rounding to whole cache lines included) once a claim has installed
-// them. A diagnostic for memory-proportionality claims (the arenas'
-// resident-bytes reports), not a process step.
+// saturation-hint summary, plus, once a claim has installed it, its
+// allocation: the bitmap words, the word records of a space under word
+// lease records, and a padded space's rounding to whole cache lines. A
+// diagnostic for memory-proportionality claims (the arenas' resident-bytes
+// reports), not a process step.
 func (s *NameSpace) FootprintBytes() int {
-	return (len(s.bitmap()) + len(s.sat.words)) * 8
+	return (len(s.allocation()) + len(s.sat.words)) * 8
 }
 
 // validBits returns the valid-bit mask of bitmap word w (the final word of
@@ -316,7 +317,8 @@ func (s *NameSpace) FreeMask(p *Proc, w int, mask uint64) {
 // path on the bitmap word is untouched — and then publishes the winner's
 // lease on the won names: one extra step per name on a per-name stamp
 // array (lease.go), or two per claimed word on a word-record array, the
-// lease CAS and the owned OR (wordlease.go). A publish that loses to a
+// lease CAS and the owned OR on the word's record in the space's own
+// allocation (wordlease.go). A publish that loses to a
 // racing reclaim walks away from its bits without touching them: they now
 // belong to the reclaim path or a successor, never to this claimant. On a
 // word-record array a refused publish refuses the whole word, so the
@@ -369,7 +371,7 @@ func (s *NameSpace) publishMask(p *Proc, w int, won, stamp uint64) uint64 {
 			s.stamps.maybeCrash(p, CrashPrePublish, s.stampBase+w<<6+bits.TrailingZeros64(rest))
 		}
 		holder, _ := UnpackStamp(stamp)
-		if s.stamps.publishWord(p, s.stampBase>>6+w, won, holder) {
+		if s.publishWord(p, w, won, holder) {
 			return won
 		}
 		s.sat.Set(w)
@@ -392,7 +394,7 @@ func (s *NameSpace) publishMask(p *Proc, w int, won, stamp uint64) uint64 {
 // stamp-clear step per name plus one word-clear step.
 func (s *NameSpace) FreeMaskStamped(p *Proc, w int, mask uint64, holder uint64) uint64 {
 	if s.stamps.perWord {
-		if !s.stamps.retireWord(p, s.stampBase>>6+w, mask, holder) {
+		if !s.retireWord(p, w, mask, holder) {
 			return 0
 		}
 		for rest := mask; rest != 0; rest &= rest - 1 {

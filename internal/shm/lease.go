@@ -203,12 +203,14 @@ type LeaseCrash struct {
 // Stamps is a lease-stamp array over n names in one of two layouts. The
 // per-name layout (NewStamps, NewStampsBacked) keeps one atomic.Uint64 per
 // name, holding the packed (holder, epoch) lease of the name's current
-// owner or one of the recovery states documented above. The word layout
-// (NewWordStamps, wordlease.go) keeps one 16-byte record per 64-name
-// bitmap word instead: a lease word in the same encoding plus an owned
-// mask. Either lives alongside a NameSpace's claim bitmap
-// (NameSpace.AttachStamps); only the per-name layout may be backed by
-// externally owned storage (NewStampsBacked) for mmap persistence.
+// owner or one of the recovery states documented above, in pages of 64
+// names. The word layout (NewWordStamps, wordlease.go) keeps one 16-byte
+// record per 64-name bitmap word instead — a lease word in the same
+// encoding plus an owned mask — in the allocation of the name space whose
+// word it is. Either lives alongside a NameSpace's claim bitmap
+// (NameSpace.AttachStamps, NewWordStamps); only the per-name layout may be
+// backed by externally owned storage (NewStampsBacked) for mmap
+// persistence.
 //
 // A stamp slot is the unit one stamp word covers: a name in the per-name
 // layout, a bitmap word in the word layout (Slots, Load, Inject).
@@ -217,16 +219,15 @@ type Stamps struct {
 	id    SpaceID
 	size  int
 	// perWord selects the word layout; epochs dates its lease renewals and
-	// spans maps its words onto the bitmaps they mirror (wordlease.go).
+	// levels are the name spaces holding its records, end to end from name
+	// 0: a ladder's own level slice, or one space (wordlease.go).
 	perWord bool
 	epochs  EpochSource
-	spans   []stampSpan
-	// pages holds one pointer per page of 64 stamp cells, nil until the
-	// page's first write installs it (see slot). A cell is a name's stamp
-	// in the per-name layout, and a word's lease (cell 2w) or owned mask
-	// (cell 2w+1) in the word layout.
+	levels  []*NameSpace
+	// pages, in the per-name layout, holds one pointer per page of 64
+	// stamps, nil until the page's first write installs it (see slot).
 	pages []atomic.Pointer[[]atomic.Uint64]
-	// installed counts the cells of installed pages.
+	// installed counts the stamps of installed pages.
 	installed atomic.Int64
 	// hook, when set, is the fault-injection callback consulted at the
 	// instrumented crash points; returning true unwinds the worker with a
@@ -270,52 +271,36 @@ func NewStampsBacked(label string, n int, words []atomic.Uint64) *Stamps {
 	return st
 }
 
-// cells returns the number of stamp cells: one per name, or two per word.
-func (st *Stamps) cells() int {
-	if st.perWord {
-		return 2 * st.Slots()
-	}
-	return st.size
-}
-
-// cell returns the cell of slot s's stamp word: the name's stamp, or the
-// word's lease.
-func (st *Stamps) cell(s int) int {
-	if st.perWord {
-		return 2 * s
-	}
-	return s
-}
-
-// page returns the cells of cell c's page, or nil while it is absent.
-func (st *Stamps) page(c int) []atomic.Uint64 {
-	if pg := st.pages[c>>6].Load(); pg != nil {
+// page returns the stamps of name i's page, or nil while it is absent.
+func (st *Stamps) page(i int) []atomic.Uint64 {
+	if pg := st.pages[i>>6].Load(); pg != nil {
 		return *pg
 	}
 	return nil
 }
 
-// at returns cell c, or nil while its page is absent (it then reads zero).
-func (st *Stamps) at(c int) *atomic.Uint64 {
-	if pg := st.page(c); pg != nil {
-		return &pg[c&63]
+// at returns name i's stamp, or nil while its page is absent (it then
+// reads zero).
+func (st *Stamps) at(i int) *atomic.Uint64 {
+	if pg := st.page(i); pg != nil {
+		return &pg[i&63]
 	}
 	return nil
 }
 
-// slot returns cell c, installing its page on first write.
-func (st *Stamps) slot(c int) *atomic.Uint64 {
-	if pg := st.page(c); pg != nil {
-		return &pg[c&63]
+// slot returns name i's stamp, installing its page on first write.
+func (st *Stamps) slot(i int) *atomic.Uint64 {
+	if pg := st.page(i); pg != nil {
+		return &pg[i&63]
 	}
-	return &st.install(c >> 6)[c&63]
+	return &st.install(i >> 6)[i&63]
 }
 
 // install allocates page k and publishes it with one CAS. Writers racing
 // here each allocate, but one CAS wins and the losers write into its page,
 // so no stamp lands in a discarded page.
 func (st *Stamps) install(k int) []atomic.Uint64 {
-	fresh := make([]atomic.Uint64, min(64, st.cells()-k<<6))
+	fresh := make([]atomic.Uint64, min(64, st.size-k<<6))
 	if st.pages[k].CompareAndSwap(nil, &fresh) {
 		st.installed.Add(int64(len(fresh)))
 		return fresh
@@ -323,36 +308,35 @@ func (st *Stamps) install(k int) []atomic.Uint64 {
 	return *st.pages[k].Load()
 }
 
-// cas swaps cell c from old to next. An absent page holds zero cells, so
-// only a swap from zero installs it; a swap expecting any other value fails
-// there without allocating.
-func (st *Stamps) cas(c int, old, next uint64) bool {
+// cas swaps name i's stamp from old to next. An absent page holds zero
+// stamps, so only a swap from zero installs it; a swap expecting any other
+// value fails there without allocating.
+func (st *Stamps) cas(i int, old, next uint64) bool {
 	if old == 0 {
-		return st.slot(c).CompareAndSwap(0, next)
+		return st.slot(i).CompareAndSwap(0, next)
 	}
-	w := st.at(c)
+	w := st.at(i)
 	return w != nil && w.CompareAndSwap(old, next)
 }
 
-// Resident reports whether the page holding slot s's stamp has been
-// written. A page that has not holds only zero stamps, hence no lease:
-// heartbeats skip it whole. No process step.
-func (st *Stamps) Resident(s int) bool { return st.pages[st.cell(s)>>6].Load() != nil }
-
-// PageSlots returns how many stamp slots one page holds, aligned from
-// slot 0: 64 names, or 32 words of word records.
-func (st *Stamps) PageSlots() int {
+// Resident reports whether slot s's stamp has storage: its page was
+// written, or, in the word layout, its level was claimed (or injected). A
+// slot without storage holds no lease (RefreshHolder skips it). No process
+// step.
+func (st *Stamps) Resident(s int) bool {
 	if st.perWord {
-		return 32
+		ns, _ := st.level(s)
+		return ns.allocation() != nil
 	}
-	return 64
+	return st.pages[s>>6].Load() != nil
 }
 
-// ResidentBytes returns the stamp storage allocated so far: the page table
-// plus the cells of every installed page, and in the word layout the table
-// mapping words onto bitmaps.
+// ResidentBytes returns the stamp storage the array allocated itself: the
+// page table plus the stamps of every installed page. It is 0 in the word
+// layout, whose records live in its spaces' allocations and count in
+// their NameSpace.FootprintBytes.
 func (st *Stamps) ResidentBytes() int64 {
-	return 8*(int64(len(st.pages))+st.installed.Load()) + int64(len(st.spans))*stampSpanBytes
+	return 8 * (int64(len(st.pages)) + st.installed.Load())
 }
 
 // Label returns the stamp space's label.
@@ -377,7 +361,13 @@ func (st *Stamps) PerWord() bool { return st.perWord }
 // Load reads the stamp of slot s without spending a process step
 // (diagnostics and recovery sweeps): a name's stamp, or a word's lease.
 func (st *Stamps) Load(s int) uint64 {
-	if w := st.at(st.cell(s)); w != nil {
+	if st.perWord {
+		if rec := st.record(s); rec != nil {
+			return rec[recLease].Load()
+		}
+		return 0
+	}
+	if w := st.at(s); w != nil {
 		return w.Load()
 	}
 	return 0
@@ -495,12 +485,42 @@ func (st *Stamps) Quarantine(i int, observed, epoch uint64) bool {
 }
 
 // Inject stores an arbitrary raw stamp value in slot s (a name's stamp, or
-// a word's lease), bypassing every protocol transition. It exists solely
-// for fault injection — the chaos harness and the integrity conformance
-// law plant corrupt states with it — and, like SetCrashHook, appears on no
-// real path.
+// a word's lease, installing the word's level), bypassing every protocol
+// transition. It exists solely for fault injection — the chaos harness and
+// the integrity conformance law plant corrupt states with it — and, like
+// SetCrashHook, appears on no real path.
 func (st *Stamps) Inject(s int, v uint64) {
-	st.slot(st.cell(s)).Store(v)
+	if st.perWord {
+		st.residentRecord(s)[recLease].Store(v)
+		return
+	}
+	st.slot(s).Store(v)
+}
+
+// RefreshHolder renews every lease holder owns in the array to epoch and
+// returns the number of names whose lease it renewed: a heartbeat. One
+// step per renewed slot — per name on per-name stamps, per leased word
+// holding names on word records (a lease covering no name protects
+// nothing). Slots whose lease is not holder's, because it was reclaimed
+// or never held, are skipped without a step, and so are slots without
+// storage: pages never written, and the words of levels never claimed.
+func (st *Stamps) RefreshHolder(p *Proc, holder, epoch uint64) int {
+	if st.perWord {
+		return st.refreshWords(p, holder, epoch)
+	}
+	renewed := 0
+	for k := range st.pages {
+		pg := st.pages[k].Load()
+		if pg == nil {
+			continue
+		}
+		for j := range *pg {
+			if h, _ := UnpackStamp((*pg)[j].Load()); h == holder && st.Refresh(p, k<<6+j, holder, epoch) {
+				renewed++
+			}
+		}
+	}
+	return renewed
 }
 
 // CountHolder returns the number of names currently stamped by client
@@ -532,16 +552,5 @@ func (st *Stamps) SetCrashHook(hook func(p *Proc, point CrashPoint, name int) bo
 func (st *Stamps) maybeCrash(p *Proc, point CrashPoint, name int) {
 	if st.hook != nil && st.hook(p, point, name) {
 		panic(LeaseCrash{PID: p.ID(), Name: name, Point: point})
-	}
-}
-
-// Reset clears every stamp (and owned mask), keeping installed pages.
-// Only safe when no processes are running.
-func (st *Stamps) Reset() {
-	for c := 0; c < st.cells(); c += 64 {
-		pg := st.page(c)
-		for j := range pg {
-			pg[j].Store(0)
-		}
 	}
 }

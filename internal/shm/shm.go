@@ -285,14 +285,18 @@ const wordsPerLine = 8
 // range claim, a seize) installs the words. Reads never allocate: Claimed,
 // Probe, CountClaimed and the hints see a never-claimed space as all free,
 // so a level ladder pays bitmap memory only for the levels its holders
-// reach. Backed spaces are resident from construction.
+// reach. A space under word lease records (NewWordStamps) keeps each
+// bitmap word's record in the same allocation, so its records arrive and
+// leave with its bitmap. Backed spaces are resident from construction.
 type NameSpace struct {
 	label  string
 	id     SpaceID
 	size   int
-	padded bool // install rounds the bitmap up to whole cache lines
-	// words is the bitmap, nil until the first claim-side write installs it
-	// (see resident).
+	padded bool // install rounds the allocation up to whole cache lines
+	// words is the space's one allocation, nil until the first claim-side
+	// write installs it (see resident): the Words() bitmap words, then, in
+	// a space under word lease records, two record cells per bitmap word
+	// (wordlease.go), then a padded space's rounding to whole lines.
 	words atomic.Pointer[[]atomic.Uint64]
 	// sat is the word-saturation summary (one bit per bitmap word, set when
 	// a word-granular claim observed the word full or filled it, cleared by
@@ -302,7 +306,8 @@ type NameSpace struct {
 	// stamps, when attached, is the lease-stamp array of the
 	// crash-recovery layer, per name or per word; stampBase offsets this
 	// space's local names into it (arenas share one stamp array across
-	// several spaces). See lease.go, wordlease.go and the Stamped claim
+	// several spaces, and a word-layout array finds its spaces' records
+	// through it). See lease.go, wordlease.go and the Stamped claim
 	// variants in claim.go.
 	stamps    *Stamps
 	stampBase int
@@ -322,10 +327,11 @@ func NewNameSpace(label string, m int) *NameSpace {
 // NewNameSpacePadded returns a line-aligned name space of m names, for
 // native-mode runs where concurrent processes claim in neighbouring spaces
 // (the levels of a ladder, the stripes of a sharded arena). Its words are
-// packed, 64 names each, but the bitmap installed on first claim is
+// packed, 64 names each, but the allocation installed on first claim is
 // rounded up to whole 64-byte cache lines, and a Go allocation of a whole
 // number of lines starts on a line boundary, so W words take ⌈W/8⌉ lines
-// that no other space shares. Semantics are identical to NewNameSpace.
+// (⌈3W/8⌉ with word lease records) that no other space shares. Semantics
+// are identical to NewNameSpace.
 func NewNameSpacePadded(label string, m int) *NameSpace {
 	return newNameSpace(label, m, true)
 }
@@ -359,17 +365,16 @@ func NewNameSpaceBacked(label string, m int, words []atomic.Uint64) *NameSpace {
 	return s
 }
 
-// AttachStamps wires the crash-recovery lease-stamp array to this space:
-// the space's local name i stamps at st[base+i]. Required before any
-// Stamped claim variant; a nil st detaches. A word-layout array needs a
-// word-aligned base, and learns which of its words this space's bitmap
-// words are.
+// AttachStamps wires a per-name lease-stamp array to this space: the
+// space's local name i stamps at st[base+i]. Required before any Stamped
+// claim variant; a nil st detaches. Word-layout arrays attach their spaces
+// themselves (NewWordStamps), since the records live in the spaces.
 func (s *NameSpace) AttachStamps(st *Stamps, base int) {
+	if st != nil && st.perWord {
+		panic(fmt.Sprintf("shm: word stamps %q attach their spaces in NewWordStamps", st.label))
+	}
 	if st != nil && base+s.size > st.Size() {
 		panic(fmt.Sprintf("shm: stamp array of %d cannot cover names [%d, %d)", st.Size(), base, base+s.size))
-	}
-	if st != nil && st.perWord {
-		st.bind(s, base)
 	}
 	s.stamps = st
 	s.stampBase = base
@@ -397,17 +402,18 @@ func (s *NameSpace) bit(i int) (int, uint64) {
 	return i >> 6, uint64(1) << (uint(i) & 63)
 }
 
-// bitmap returns the bitmap words, or nil while no claim has written the
-// space. Read paths use it, so they never allocate.
-func (s *NameSpace) bitmap() []atomic.Uint64 {
+// allocation returns the space's allocation — bitmap words first — or nil
+// while no claim has written the space. Read paths use it, so they never
+// allocate.
+func (s *NameSpace) allocation() []atomic.Uint64 {
 	if ws := s.words.Load(); ws != nil {
 		return *ws
 	}
 	return nil
 }
 
-// resident returns the bitmap words, installing them on the first
-// claim-side write.
+// resident returns the allocation, installing it on the first claim-side
+// write.
 func (s *NameSpace) resident() []atomic.Uint64 {
 	if ws := s.words.Load(); ws != nil {
 		return *ws
@@ -415,13 +421,17 @@ func (s *NameSpace) resident() []atomic.Uint64 {
 	return s.install()
 }
 
-// install allocates the bitmap and publishes it with one CAS. First claims
-// racing here each allocate, but one CAS wins and the losers adopt its
-// words before touching a bit, so no claim lands in a discarded bitmap. A
-// padded space allocates whole cache lines; the words past Words() stay
-// zero.
+// install allocates the bitmap, with the word records of a space under
+// word lease records, and publishes it with one CAS. First claims racing
+// here each allocate, but one CAS wins and the losers adopt its words
+// before touching a bit or a record, so nothing lands in a discarded
+// allocation. A padded space allocates whole cache lines; the words past
+// the bitmap and records stay zero.
 func (s *NameSpace) install() []atomic.Uint64 {
 	n := s.Words()
+	if s.stamps != nil && s.stamps.perWord {
+		n *= 1 + recordCells
+	}
 	if s.padded {
 		n = (n + wordsPerLine - 1) / wordsPerLine * wordsPerLine
 	}
@@ -434,7 +444,7 @@ func (s *NameSpace) install() []atomic.Uint64 {
 
 // load reads bitmap word w; an absent bitmap reads as all free.
 func (s *NameSpace) load(w int) uint64 {
-	if ws := s.bitmap(); ws != nil {
+	if ws := s.allocation(); ws != nil {
 		return ws[w].Load()
 	}
 	return 0
@@ -443,7 +453,7 @@ func (s *NameSpace) load(w int) uint64 {
 // clear drops mask from bitmap word w; an absent bitmap has no bit to
 // clear.
 func (s *NameSpace) clear(w int, mask uint64) {
-	if ws := s.bitmap(); ws != nil {
+	if ws := s.allocation(); ws != nil {
 		ws[w].And(^mask)
 	}
 }
@@ -495,18 +505,18 @@ func (s *NameSpace) Probe(i int) bool {
 // word. Not a process step; used by metrics and tests after (or between)
 // runs.
 func (s *NameSpace) CountClaimed() int {
-	ws := s.bitmap()
+	ws := s.allocation()
 	c := 0
-	for i := range ws {
+	for i := range min(len(ws), s.Words()) { // records and padding follow
 		c += bits.OnesCount64(ws[i].Load())
 	}
 	return c
 }
 
-// Reset frees every name, keeping any installed bitmap. Only safe when no
-// processes are running.
+// Reset frees every name and clears any word records, keeping the
+// installed allocation. Only safe when no processes are running.
 func (s *NameSpace) Reset() {
-	ws := s.bitmap()
+	ws := s.allocation()
 	for i := range ws {
 		ws[i].Store(0)
 	}

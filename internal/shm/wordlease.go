@@ -5,7 +5,9 @@ package shm
 // When every claim of an arena carries the same holder — one public Arena
 // handle, one lease cache — 64 per-name stamps of a bitmap word say the
 // same thing 64 times. The word layout keeps one 16-byte record per
-// 64-name bitmap word instead:
+// 64-name bitmap word instead, in the name space's own allocation right
+// after its bitmap, so a level's records are installed by its first claim
+// and dropped with it:
 //
 //   - a lease word in the PackStamp encoding, with the per-name layout's
 //     states: 0 (never leased), holder@epoch (the holder's lease, renewed
@@ -55,45 +57,99 @@ package shm
 
 import (
 	"fmt"
+	"math/bits"
 	"sync/atomic"
-	"unsafe"
 )
 
-// stampSpan maps the word slots [word, word+words) of a word-layout array
-// onto the bitmap words of one attached name space.
-type stampSpan struct {
-	word, words int32
-	space       *NameSpace
-}
+// recordCells is the number of 8-byte cells of one word record, and
+// recLease and recOwned index them.
+const (
+	recordCells = 2
+	recLease    = 0
+	recOwned    = 1
+)
 
-// stampSpanBytes is the resident size of one span table entry.
-const stampSpanBytes = int64(unsafe.Sizeof(stampSpan{}))
-
-// NewWordStamps returns an all-clear word-layout stamp array over n names:
-// one lease word and one owned mask per 64-name bitmap word, resident on
-// first write in pages of 32 words. epochs is the lease clock the holder's
-// claims and releases date their renewals with. Names attach at word
-// boundaries (NameSpace.AttachStamps), so word w of the array is exactly
-// one bitmap word of one attached space.
-func NewWordStamps(label string, n int, epochs EpochSource) *Stamps {
-	if n < 0 {
-		panic("shm: negative stamp array size")
-	}
+// NewWordStamps returns an all-clear word-layout stamp array over the
+// names of levels, laid end to end from name 0: one lease word and one
+// owned mask per 64-name bitmap word, kept in the allocation of the level
+// the word belongs to. Each level is attached here (its local name i is
+// array name base+i), so every level but the last must hold whole words,
+// and each must own its storage and be unclaimed: the first claim then
+// installs its bitmap and records together. The array keeps levels — a
+// ladder's own level slice — to find a word's records, and has no storage
+// of its own. epochs is the lease clock the holder's claims and releases
+// date their renewals with.
+func NewWordStamps(label string, levels []*NameSpace, epochs EpochSource) *Stamps {
 	if epochs == nil {
 		panic("shm: word stamps need an epoch source")
 	}
-	st := &Stamps{label: label, id: InternSpace(label), size: n, perWord: true, epochs: epochs}
-	st.pages = make([]atomic.Pointer[[]atomic.Uint64], (st.cells()+63)/64)
+	if len(levels) == 0 {
+		panic(fmt.Sprintf("shm: word stamps %q need a name space", label))
+	}
+	st := &Stamps{label: label, id: InternSpace(label), perWord: true, epochs: epochs, levels: levels}
+	for i, s := range levels {
+		if st.size&63 != 0 {
+			panic(fmt.Sprintf("shm: word stamps %q attach at word boundaries, got level %d at name %d", label, i, st.size))
+		}
+		if s.allocation() != nil {
+			panic(fmt.Sprintf("shm: word stamps %q need unclaimed spaces that own their storage, got %q", label, s.label))
+		}
+		s.stamps, s.stampBase = st, st.size
+		st.size += s.size
+	}
 	return st
 }
 
-// bind records that space s covers names [base, base+s.Size()) of a
-// word-layout array.
-func (st *Stamps) bind(s *NameSpace, base int) {
-	if base&63 != 0 {
-		panic(fmt.Sprintf("shm: word stamps %q attach at word boundaries, got base %d", st.label, base))
+// level returns the space holding word slot w's record and w's word within
+// it: the last level starting at or below w.
+func (st *Stamps) level(w int) (*NameSpace, int) {
+	i := len(st.levels) - 1
+	for i > 0 && st.levels[i].stampBase>>6 > w {
+		i--
 	}
-	st.spans = append(st.spans, stampSpan{word: int32(base >> 6), words: int32(s.Words()), space: s})
+	s := st.levels[i]
+	return s, w - s.stampBase>>6
+}
+
+// record returns word slot w's record, or nil while its level has no
+// allocation: an unclaimed level holds no lease and no owned name.
+func (st *Stamps) record(w int) *[recordCells]atomic.Uint64 {
+	s, local := st.level(w)
+	return s.record(local)
+}
+
+// residentRecord returns word slot w's record, installing its level's
+// allocation on first write.
+func (st *Stamps) residentRecord(w int) *[recordCells]atomic.Uint64 {
+	s, local := st.level(w)
+	return recordIn(s.resident(), s.Words(), local)
+}
+
+// record returns local word w's record in the space's allocation, or nil
+// while none is installed. Spaces under word stamps only.
+func (s *NameSpace) record(w int) *[recordCells]atomic.Uint64 {
+	if ws := s.allocation(); ws != nil {
+		return recordIn(ws, s.Words(), w)
+	}
+	return nil
+}
+
+// recordIn returns the record of word w in an allocation whose bitmap has
+// words words: the records follow the bitmap, recordCells per word.
+func recordIn(ws []atomic.Uint64, words, w int) *[recordCells]atomic.Uint64 {
+	c := words + recordCells*w
+	return (*[recordCells]atomic.Uint64)(ws[c : c+recordCells])
+}
+
+// casLease swaps word w's lease from old to next. An unclaimed level holds
+// zero leases, so only a swap from zero installs it; a swap expecting any
+// other value fails there without allocating.
+func (st *Stamps) casLease(w int, old, next uint64) bool {
+	if old == 0 {
+		return st.residentRecord(w)[recLease].CompareAndSwap(0, next)
+	}
+	rec := st.record(w)
+	return rec != nil && rec[recLease].CompareAndSwap(old, next)
 }
 
 // WordNames returns the names [lo, hi) that word slot w covers.
@@ -107,16 +163,16 @@ func (st *Stamps) Owned(w int) uint64 {
 	if !st.perWord {
 		return 0
 	}
-	if c := st.at(2*w + 1); c != nil {
-		return c.Load()
+	if rec := st.record(w); rec != nil {
+		return rec[recOwned].Load()
 	}
 	return 0
 }
 
-// InjectOwned stores a raw owned mask for word w, bypassing the protocol:
-// fault injection only, like Inject.
+// InjectOwned stores a raw owned mask for word w, installing its level,
+// bypassing the protocol: fault injection only, like Inject.
 func (st *Stamps) InjectOwned(w int, mask uint64) {
-	st.slot(2*w + 1).Store(mask)
+	st.residentRecord(w)[recOwned].Store(mask)
 }
 
 // step charges p one access to word w's record.
@@ -137,33 +193,19 @@ func (st *Stamps) OwnedWord(p *Proc, w int) uint64 {
 }
 
 // BitsWord reads the claim bits of the bitmap word that word slot w
-// mirrors: one step, on the bitmap's own operation space. A word no
-// attached space covers reads as free.
+// mirrors: one step, on the bitmap's own operation space.
 func (st *Stamps) BitsWord(p *Proc, w int) uint64 {
-	for _, sp := range st.spans {
-		if local := w - int(sp.word); local >= 0 && local < int(sp.words) {
-			valid := sp.space.validBits(local)
-			p.Step(Op{Kind: OpRead, Space: sp.space.id, Index: int32(local << 6)})
-			return sp.space.load(local) & valid
-		}
-	}
-	p.Step(Op{Kind: OpRead, Space: st.id, Index: int32(w << 6)})
-	return 0
+	s, local := st.level(w)
+	valid := s.validBits(local)
+	p.Step(Op{Kind: OpRead, Space: s.id, Index: int32(local << 6)})
+	return s.load(local) & valid
 }
 
-// renew CASes lease cell c to holder@now, from the holder's own lease or,
-// when claim is set, from a claimable state. It never dates the lease
-// earlier than the epoch it replaces. It reports false when the lease is
-// neither (suspect, quarantine, a foreign holder — or claimable, for a
-// release).
-func (st *Stamps) renew(c int, holder uint64, claim bool) bool {
-	lease := st.at(c)
-	if lease == nil {
-		if !claim {
-			return false // an absent page holds no lease
-		}
-		lease = st.slot(c)
-	}
+// renew CASes lease to holder@now, from the holder's own lease or, when
+// claim is set, from a claimable state. It never dates the lease earlier
+// than the epoch it replaces. It reports false when the lease is neither
+// (suspect, quarantine, a foreign holder — or claimable, for a release).
+func (st *Stamps) renew(lease *atomic.Uint64, holder uint64, claim bool) bool {
 	for {
 		cur := lease.Load()
 		h, e := UnpackStamp(cur)
@@ -180,30 +222,35 @@ func (st *Stamps) renew(c int, holder uint64, claim bool) bool {
 	}
 }
 
-// publishWord grants the won bits mask of word w to holder: two steps, the
-// lease CAS and the owned OR. A false result means the lease refused the
-// claim; the caller walks away from the bits without touching them.
-func (st *Stamps) publishWord(p *Proc, w int, mask, holder uint64) bool {
-	st.step(p, OpTAS, w)
-	if !st.renew(2*w, holder, true) {
+// publishWord grants the won bits mask of local bitmap word w to holder:
+// two steps, the lease CAS and the owned OR on the word's record. A false
+// result means the lease refused the claim; the caller walks away from the
+// bits without touching them.
+func (s *NameSpace) publishWord(p *Proc, w int, mask, holder uint64) bool {
+	st, slot := s.stamps, s.stampBase>>6+w
+	st.step(p, OpTAS, slot)
+	rec := recordIn(s.resident(), s.Words(), w)
+	if !st.renew(&rec[recLease], holder, true) {
 		return false
 	}
-	st.step(p, OpTAS, w)
-	st.slot(2*w + 1).Or(mask)
+	st.step(p, OpTAS, slot)
+	rec[recOwned].Or(mask)
 	return true
 }
 
-// retireWord retires holder's names mask of word w ahead of freeing their
-// bitmap bits: two steps, the lease CAS and the owned clear. A false result
-// means the word was reclaimed from the holder: the caller must not clear
-// the bits.
-func (st *Stamps) retireWord(p *Proc, w int, mask, holder uint64) bool {
-	st.step(p, OpClear, w)
-	if !st.renew(2*w, holder, false) {
+// retireWord retires holder's names mask of local bitmap word w ahead of
+// freeing their bits: two steps, the lease CAS and the owned clear. A
+// false result means the word was reclaimed from the holder, or its level
+// never claimed: the caller must not clear the bits.
+func (s *NameSpace) retireWord(p *Proc, w int, mask, holder uint64) bool {
+	st, slot := s.stamps, s.stampBase>>6+w
+	st.step(p, OpClear, slot)
+	rec := s.record(w)
+	if rec == nil || !st.renew(&rec[recLease], holder, false) {
 		return false
 	}
-	st.step(p, OpClear, w)
-	st.at(2*w + 1).And(^mask)
+	st.step(p, OpClear, slot)
+	rec[recOwned].And(^mask)
 	return true
 }
 
@@ -212,10 +259,38 @@ func (st *Stamps) retireWord(p *Proc, w int, mask, holder uint64) bool {
 // not leased to holder.
 func (st *Stamps) RefreshWord(p *Proc, w int, holder, epoch uint64) bool {
 	st.step(p, OpTAS, w)
-	lease := st.at(2 * w)
-	if lease == nil {
-		return false
+	rec := st.record(w)
+	return rec != nil && refreshLease(&rec[recLease], holder, epoch)
+}
+
+// refreshWords is RefreshHolder on word records: one RefreshWord step per
+// word of a claimed level that holder leases and that holds names.
+func (st *Stamps) refreshWords(p *Proc, holder, epoch uint64) int {
+	renewed := 0
+	for _, s := range st.levels {
+		ws := s.allocation()
+		if ws == nil {
+			continue
+		}
+		for w := range s.Words() {
+			rec := recordIn(ws, s.Words(), w)
+			if h, _ := UnpackStamp(rec[recLease].Load()); h != holder {
+				continue
+			}
+			if owned := rec[recOwned].Load(); owned != 0 {
+				st.step(p, OpTAS, s.stampBase>>6+w)
+				if refreshLease(&rec[recLease], holder, epoch) {
+					renewed += bits.OnesCount64(owned)
+				}
+			}
+		}
 	}
+	return renewed
+}
+
+// refreshLease CASes a lease of holder's to holder@epoch, never dating it
+// earlier than it is; false when the lease is not holder's.
+func refreshLease(lease *atomic.Uint64, holder, epoch uint64) bool {
 	for {
 		cur := lease.Load()
 		h, e := UnpackStamp(cur)
@@ -242,9 +317,9 @@ func (st *Stamps) AdoptWord(p *Proc, w int, observed, epoch uint64) bool {
 	}
 	held := st.BitsWord(p, w)
 	st.step(p, OpTAS, w)
-	st.slot(2*w + 1).Or(held)
+	st.residentRecord(w)[recOwned].Or(held)
 	st.step(p, OpTAS, w)
-	st.cas(2*w, PackStamp(HolderSuspect, epoch), PackStamp(HolderOrphan, epoch))
+	st.casLease(w, PackStamp(HolderSuspect, epoch), PackStamp(HolderOrphan, epoch))
 	return true
 }
 
@@ -253,15 +328,15 @@ func (st *Stamps) AdoptWord(p *Proc, w int, observed, epoch uint64) bool {
 // must be abandoned.
 func (st *Stamps) BeginReclaimWord(p *Proc, w int, observed, epoch uint64) bool {
 	st.step(p, OpTAS, w)
-	return st.cas(2*w, observed, PackStamp(HolderSuspect, epoch))
+	return st.casLease(w, observed, PackStamp(HolderSuspect, epoch))
 }
 
 // TakeOwned swaps word w's owned mask to zero and returns it: one step. A
 // reclaim calls it under its suspect mark, then clears exactly these bits.
 func (st *Stamps) TakeOwned(p *Proc, w int) uint64 {
 	st.step(p, OpClear, w)
-	if c := st.at(2*w + 1); c != nil {
-		return c.Swap(0)
+	if rec := st.record(w); rec != nil {
+		return rec[recOwned].Swap(0)
 	}
 	return 0
 }
@@ -270,13 +345,13 @@ func (st *Stamps) TakeOwned(p *Proc, w int) uint64 {
 // a claimable tombstone: one step.
 func (st *Stamps) FinishReclaimWord(p *Proc, w int, suspectEpoch, epoch uint64) bool {
 	st.step(p, OpTAS, w)
-	return st.cas(2*w, PackStamp(HolderSuspect, suspectEpoch), PackStamp(HolderTomb, epoch))
+	return st.casLease(w, PackStamp(HolderSuspect, suspectEpoch), PackStamp(HolderTomb, epoch))
 }
 
 // DropWord CASes a residual lease of an empty word to zero: one step.
 func (st *Stamps) DropWord(p *Proc, w int, observed uint64) bool {
 	st.step(p, OpClear, w)
-	return st.cas(2*w, observed, 0)
+	return st.casLease(w, observed, 0)
 }
 
 // QuarantineWord CASes the lease the scrubber observed on word w to a
@@ -284,5 +359,5 @@ func (st *Stamps) DropWord(p *Proc, w int, observed uint64) bool {
 // away, so its bits stay set and its names out of circulation.
 func (st *Stamps) QuarantineWord(p *Proc, w int, observed, epoch uint64) bool {
 	st.step(p, OpTAS, w)
-	return st.cas(2*w, observed, PackStamp(HolderQuarantine, epoch))
+	return st.casLease(w, observed, PackStamp(HolderQuarantine, epoch))
 }
